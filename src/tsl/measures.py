@@ -12,6 +12,7 @@ afterwards as an exact pushforward.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -305,22 +306,80 @@ class ProductChain:
         return self.states.index(e)
 
 
-def solve_linear(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[Fraction]:
-    """Gauss-Jordan over Fractions; raises ValueError on singular systems."""
+def solve_linear(
+    rows: Sequence[Mapping[int, Fraction]], rhss: Sequence[Sequence[Fraction]]
+) -> list[list[Fraction]]:
+    """Solve A x = b exactly for each b in ``rhss``; one elimination serves all.
+
+    ``rows[i]`` maps column j to A[i][j] and need only hold the non-zeros of
+    a square system over columns 0..n-1.  Columns are eliminated in order;
+    each one pivots on the remaining row with the fewest non-zeros, lowest
+    index on ties, which keeps the fill-in small on the sparse chain systems.
+    Raises ValueError on a singular system.  Every solution is checked by
+    substitution, and a failed check raises InternalInconsistencyError.
+    """
     n = len(rows)
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(rows)]
+    work = [{c: v for c, v in row.items() if v} for row in rows]
+    right = [[b[i] for b in rhss] for i in range(n)]
+    column_rows: list[set[int]] = [set() for _ in range(n)]
+    for r, row in enumerate(work):
+        for c in row:
+            column_rows[c].add(r)
+    pivots = []
     for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
+        candidates = column_rows[col]
+        if not candidates:
             raise ValueError("singular linear system")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        scale = aug[col][col]
-        aug[col] = [v / scale for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
+        p = min(candidates, key=lambda r: (len(work[r]), r))
+        pivot = work[p]
+        for c in pivot:
+            column_rows[c].discard(p)
+        scale = pivot[col]
+        for c in pivot:
+            pivot[c] /= scale
+        right[p] = [b / scale for b in right[p]]
+        for r in list(candidates):
+            row = work[r]
+            f = row.pop(col)
+            for c, v in pivot.items():
+                if c == col:
+                    continue
+                old = row.get(c)
+                if old is None:
+                    row[c] = -f * v
+                    column_rows[c].add(r)
+                else:
+                    value = old - f * v
+                    if value:
+                        row[c] = value
+                    else:
+                        del row[c]
+                        column_rows[c].discard(r)
+            right[r] = [b - f * bp for b, bp in zip(right[r], right[p])]
+        candidates.clear()
+        pivots.append(p)
+    solutions = [[Fraction(0)] * n for _ in rhss]
+    for col in range(n - 1, -1, -1):
+        p = pivots[col]
+        terms = [(c, v) for c, v in work[p].items() if c != col]
+        for x, b in zip(solutions, right[p]):
+            x[col] = b - sum((v * x[c] for c, v in terms), Fraction(0))
+    _check_substitution(rows, rhss, solutions)
+    return solutions
+
+
+def _check_substitution(
+    rows: Sequence[Mapping[int, Fraction]],
+    rhss: Sequence[Sequence[Fraction]],
+    solutions: Sequence[Sequence[Fraction]],
+) -> None:
+    """Raise InternalInconsistencyError unless A x == b holds exactly for each pair."""
+    for b, x in zip(rhss, solutions):
+        for i, row in enumerate(rows):
+            if sum((v * x[c] for c, v in row.items()), Fraction(0)) != b[i]:
+                raise InternalInconsistencyError(
+                    f"linear solve fails substitution at row {i}"
+                )
 
 
 def _strongly_connected_components(succ: Sequence[Iterable[int]]) -> list[list[int]]:
@@ -373,13 +432,31 @@ def _strongly_connected_components(succ: Sequence[Iterable[int]]) -> list[list[i
     return components
 
 
-def _class_period(members: Sequence[int], succ: Mapping[int, list[int]]) -> int:
+def closed_classes(succ: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """The closed strongly connected components, each sorted, in sorted order.
+
+    ``succ[v]`` lists the states reachable from v in one step; a component is
+    closed when no step leaves it.  These are the recurrent classes.
+    """
+    components = _strongly_connected_components(succ)
+    comp_of = {}
+    for ci, comp in enumerate(components):
+        for v in comp:
+            comp_of[v] = ci
+    return sorted(
+        tuple(comp)
+        for ci, comp in enumerate(components)
+        if all(comp_of[t] == ci for v in comp for t in succ[v])
+    )
+
+
+def _class_period(members: Sequence[int], succ: Sequence[Sequence[int]]) -> int:
     base = members[0]
     level = {base: 0}
-    queue = [base]
+    queue = deque([base])
     member_set = set(members)
     while queue:
-        u = queue.pop(0)
+        u = queue.popleft()
         for v in succ[u]:
             if v in member_set and v not in level:
                 level[v] = level[u] + 1
@@ -420,26 +497,15 @@ def build_product_chain(noise: NoiseSpec) -> ProductChain:
             index[p] = len(states)
             states.append(p)
     n = len(states)
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    succ: dict[int, list[int]] = {}
-    for i, s in enumerate(states):
-        targets: list[int] = []
+    out: list[dict[int, Fraction]] = []
+    for s in states:
+        row: dict[int, Fraction] = {}
         for t, w in tail.atoms:
             j = index[compose(s, t)]
-            if rows[i][j] == 0:
-                targets.append(j)
-            rows[i][j] += w
-        succ[i] = sorted(set(targets))
-    components = _strongly_connected_components([succ[i] for i in range(n)])
-    comp_of = {}
-    for ci, comp in enumerate(components):
-        for v in comp:
-            comp_of[v] = ci
-    closed = []
-    for ci, comp in enumerate(components):
-        if all(comp_of[t] == ci for v in comp for t in succ[v]):
-            closed.append(ci)
-    recurrent_sets = [tuple(components[ci]) for ci in sorted(closed, key=lambda ci: components[ci])]
+            row[j] = row.get(j, Fraction(0)) + w
+        out.append(row)
+    succ = [sorted(row) for row in out]
+    recurrent_sets = closed_classes(succ)
     recurrent_ids = {v for comp in recurrent_sets for v in comp}
     transient = tuple(i for i in range(n) if i not in recurrent_ids)
 
@@ -447,80 +513,83 @@ def build_product_chain(noise: NoiseSpec) -> ProductChain:
     for t, w in tail.atoms:
         initial[index[t]] += w
 
+    absorptions = _absorption_probabilities(out, transient, recurrent_sets, initial)
     classes = []
-    for members in recurrent_sets:
+    for members, absorption in zip(recurrent_sets, absorptions):
         period = _class_period(members, succ)
-        stationary = _stationary_on_class(rows, members)
-        absorption = _absorption_probability(rows, transient, members, recurrent_ids, initial)
+        stationary = tuple(zip(members, stationary_on_class(members, out)))
         classes.append(RecurrentClass(members, period, absorption, stationary))
     total = sum((c.absorption for c in classes), Fraction(0))
     if total != 1:
         raise InternalInconsistencyError(
             f"absorption probabilities sum to {total}, expected 1"
         )
+    zero = Fraction(0)
+    transitions = tuple(tuple(row.get(j, zero) for j in range(n)) for row in out)
     return ProductChain(
-        noise.space, tuple(states), tuple(tuple(r) for r in rows), tuple(initial),
+        noise.space, tuple(states), transitions, tuple(initial),
         tuple(classes), transient,
     )
 
 
-def _stationary_on_class(
-    rows: Sequence[Sequence[Fraction]], members: Sequence[int]
-) -> tuple[tuple[int, Fraction], ...]:
+def stationary_on_class(
+    members: Sequence[int], out: Sequence[Mapping[int, Fraction]]
+) -> list[Fraction]:
+    """Stationary law of the closed class ``members``, aligned with it.
+
+    ``out[v]`` maps each successor of state v to its transition weight.
+    Solves pi P = pi on the class with the last balance equation replaced
+    by normalization.
+    """
     m = len(members)
     pos = {v: i for i, v in enumerate(members)}
-    # pi P = pi restricted to the class, with the last balance equation
-    # replaced by normalization.
-    system = [[Fraction(0)] * m for _ in range(m)]
-    rhs = [Fraction(0)] * m
-    for j, vj in enumerate(members):
-        for i, vi in enumerate(members):
-            system[j][i] = rows[vi][vj] - (Fraction(1) if i == j else Fraction(0))
-    system[m - 1] = [Fraction(1)] * m
-    rhs[m - 1] = Fraction(1)
-    pi = solve_linear(system, rhs)
-    for v in pi:
-        if v < 0:
-            raise InternalInconsistencyError("negative stationary weight")
-    return tuple((v, pi[pos[v]]) for v in members)
+    system: list[dict[int, Fraction]] = [{j: Fraction(-1)} for j in range(m)]
+    for i, v in enumerate(members):
+        for t, w in out[v].items():
+            balance = system[pos[t]]
+            balance[i] = balance.get(i, Fraction(0)) + w
+    system[-1] = dict.fromkeys(range(m), Fraction(1))
+    rhs = [Fraction(0)] * (m - 1) + [Fraction(1)]
+    (pi,) = solve_linear(system, [rhs])
+    if any(v < 0 for v in pi):
+        raise InternalInconsistencyError("negative stationary weight")
+    return pi
 
 
-def _absorption_probability(
-    rows: Sequence[Sequence[Fraction]],
+def _absorption_probabilities(
+    out: Sequence[Mapping[int, Fraction]],
     transient: Sequence[int],
-    members: Sequence[int],
-    recurrent_ids: set,
+    classes: Sequence[Sequence[int]],
     initial: Sequence[Fraction],
-) -> Fraction:
-    member_set = set(members)
-    if transient:
-        m = len(transient)
-        pos = {v: i for i, v in enumerate(transient)}
-        system = [[Fraction(0)] * m for _ in range(m)]
-        rhs = [Fraction(0)] * m
-        for i, s in enumerate(transient):
-            system[i][i] = Fraction(1)
-            for t in range(len(rows)):
-                w = rows[s][t]
-                if w == 0:
-                    continue
-                if t in pos:
-                    system[i][pos[t]] -= w
-                elif t in member_set:
-                    rhs[i] += w
-        hit = solve_linear(system, rhs)
-    else:
-        hit = []
-        pos = {}
-    total = Fraction(0)
+) -> list[Fraction]:
+    """Probability that the chain started from ``initial`` ends in each class.
+
+    One solve of (I - Q) h = r over the transient states, with one
+    right-hand side r per class: the one-step weight into that class.
+    """
+    pos = {v: i for i, v in enumerate(transient)}
+    class_of = {v: k for k, members in enumerate(classes) for v in members}
+    system: list[dict[int, Fraction]] = []
+    rhss = [[Fraction(0)] * len(transient) for _ in classes]
+    for i, s in enumerate(transient):
+        row = {i: Fraction(1)}
+        for t, w in out[s].items():
+            if t in pos:
+                row[pos[t]] = row.get(pos[t], Fraction(0)) - w
+            else:
+                rhss[class_of[t]][i] += w
+        system.append(row)
+    hits = solve_linear(system, rhss)
+    totals = [Fraction(0)] * len(classes)
     for s, w in enumerate(initial):
         if w == 0:
             continue
-        if s in member_set:
-            total += w
-        elif s not in recurrent_ids and s in pos:
-            total += w * hit[pos[s]]
-    return total
+        if s in pos:
+            for k, hit in enumerate(hits):
+                totals[k] += w * hit[pos[s]]
+        else:
+            totals[class_of[s]] += w
+    return totals
 
 
 @dataclass(frozen=True)

@@ -26,8 +26,8 @@ from .errors import CarrierMismatchError, InternalInconsistencyError
 from .measures import (
     NoiseSpec,
     ProbMeasure,
-    _strongly_connected_components,
     act,
+    closed_classes,
     convolve,
     solve_linear,
     state_carrier,
@@ -391,49 +391,35 @@ def _exact_absorption(noise: NoiseSpec) -> tuple[Optional[Fraction], Fraction]:
     succ = [
         sorted({comp.cayley[i][f] for f in tail_weights}) for i in range(m)
     ]
-    comps = _strongly_connected_components(succ)
-    comp_of = {}
-    for ci, c in enumerate(comps):
-        for v in c:
-            comp_of[v] = ci
-    closed = {
-        ci
-        for ci, c in enumerate(comps)
-        if all(comp_of[t] == ci for v in c for t in succ[v])
-    }
     never = {
-        v for ci in closed for v in comps[ci] if v not in comp.tail_absorbing
+        v for members in closed_classes(succ) for v in members
+        if v not in comp.tail_absorbing
     }
     transient = [
         i for i in range(m) if i not in comp.tail_absorbing and i not in never
     ]
     pos = {v: i for i, v in enumerate(transient)}
     size = len(transient)
-    q = [[Fraction(0)] * size for _ in range(size)]
+    identity_minus_q: list[dict[int, Fraction]] = []
     into_never = [Fraction(0)] * size
     for i, s in enumerate(transient):
+        row = {i: Fraction(1)}
         for f, w in tail_weights.items():
             t = comp.cayley[s][f]
             if t in pos:
-                q[i][pos[t]] += w
+                row[pos[t]] = row.get(pos[t], Fraction(0)) - w
             elif t in never:
                 into_never[i] += w
-    identity_minus_q = [
-        [
-            (Fraction(1) if i == j else Fraction(0)) - q[i][j]
-            for j in range(size)
-        ]
-        for i in range(size)
-    ]
+        identity_minus_q.append(row)
+    hit_never, expected = solve_linear(
+        identity_minus_q, [into_never, [Fraction(1)] * size]
+    )
     infinite = sum((w for s, w in residual.items() if s in never), Fraction(0))
-    if size and any(v != 0 for v in into_never):
-        hit_never = solve_linear(identity_minus_q, into_never)
-        for s, w in residual.items():
-            if s in pos:
-                infinite += w * hit_never[pos[s]]
+    for s, w in residual.items():
+        if s in pos:
+            infinite += w * hit_never[pos[s]]
     if infinite != 0:
         return None, infinite
-    expected = solve_linear(identity_minus_q, [Fraction(1)] * size) if size else []
     total = Fraction(1) + head
     for s, w in residual.items():
         total += w * expected[pos[s]]

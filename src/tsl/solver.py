@@ -38,13 +38,13 @@ from .measures import (
     LimitLawReport,
     NoiseSpec,
     ProbMeasure,
-    _strongly_connected_components,
     act,
+    closed_classes,
     convolve,
     limit_analysis,
     mix,
-    solve_linear,
     state_carrier,
+    stationary_on_class,
 )
 
 __all__ = [
@@ -492,44 +492,26 @@ def stationary_law(mu: ProbMeasure) -> ProbMeasure:
     if mu.carrier.kind != "element":
         raise ValueError("stationary law needs an element measure")
     n = mu.carrier.space.size
-    rows = [[Fraction(0)] * n for _ in range(n)]
+    out: list[dict[int, Fraction]] = [{} for _ in range(n)]
     for sigma, w in mu.atoms:
         assert isinstance(sigma, TransformationElement)
         for x in range(n):
-            rows[x][sigma.image[x]] += w
-    succ = [sorted({y for y in range(n) if rows[x][y] != 0}) for x in range(n)]
-    comps = _strongly_connected_components(succ)
-    comp_of = {}
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
-    closed = [
-        comp
-        for ci, comp in enumerate(comps)
-        if all(comp_of[t] == ci for v in comp for t in succ[v])
-    ]
-    if len(closed) != 1:
-        classes = tuple(tuple(comp) for comp in sorted(closed))
+            y = sigma.image[x]
+            out[x][y] = out[x].get(y, Fraction(0)) + w
+    classes = closed_classes([sorted(row) for row in out])
+    if len(classes) != 1:
         shown = ", ".join(
             "{" + ", ".join(mu.carrier.space.label(v) for v in comp) + "}"
             for comp in classes
         )
         raise MultiplicityError(
-            f"state chain has {len(closed)} recurrent classes: {shown}",
-            classes=classes,
+            f"state chain has {len(classes)} recurrent classes: {shown}",
+            classes=tuple(classes),
         )
-    members = sorted(closed[0])
-    m = len(members)
-    system = [[Fraction(0)] * m for _ in range(m)]
-    rhs = [Fraction(0)] * m
-    for j, vj in enumerate(members):
-        for i, vi in enumerate(members):
-            system[j][i] = rows[vi][vj] - (Fraction(1) if i == j else Fraction(0))
-    system[m - 1] = [Fraction(1)] * m
-    rhs[m - 1] = Fraction(1)
-    pi = solve_linear(system, rhs)
+    (members,) = classes
+    pi = stationary_on_class(members, out)
     return ProbMeasure.from_weights(
-        state_carrier(mu.carrier.space), {v: pi[i] for i, v in enumerate(members)}
+        state_carrier(mu.carrier.space), dict(zip(members, pi))
     )
 
 

@@ -121,3 +121,62 @@ def three_state_absorption_tail(steps: int) -> Fraction:
     if steps < 1:
         return Fraction(1)
     return Fraction(1, 2 ** (steps - 1))
+
+
+def dense_solve(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
+    """Gauss-Jordan over Fractions on a dense square system.
+
+    Raises ValueError on a singular system.  This is the dense routine the
+    library's sparse solver replaced; it stays here as the reference.
+    """
+    n = len(rows)
+    aug = [list(row) + [rhs[i]] for i, row in enumerate(rows)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            raise ValueError("singular linear system")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        scale = aug[col][col]
+        aug[col] = [v / scale for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    return [aug[i][n] for i in range(n)]
+
+
+def dense_stationary(
+    transitions: list[list[Fraction]], members: list[int]
+) -> list[Fraction]:
+    """pi P = pi on the states `members`, the last balance equation replaced by sum 1.
+
+    Non-singular exactly when the stationary law on `members` is unique.
+    """
+    m = len(members)
+    system = [
+        [transitions[vi][vj] - (1 if i == j else 0) for i, vi in enumerate(members)]
+        for j, vj in enumerate(members)
+    ]
+    system[m - 1] = [Fraction(1)] * m
+    return dense_solve(system, [Fraction(0)] * (m - 1) + [Fraction(1)])
+
+
+def dense_absorption(
+    transitions: list[list[Fraction]],
+    initial: list[Fraction],
+    transient: list[int],
+    members: list[int],
+) -> Fraction:
+    """P(the chain started from `initial` ends in the closed class `members`).
+
+    h = Q h + r on the transient states, r the one-step weight into the class.
+    """
+    m = len(transient)
+    system = [
+        [(1 if i == j else 0) - transitions[s][t] for j, t in enumerate(transient)]
+        for i, s in enumerate(transient)
+    ]
+    rhs = [sum((transitions[s][t] for t in members), Fraction(0)) for s in transient]
+    hit = dense_solve(system, rhs) if m else []
+    total = sum((initial[v] for v in members), Fraction(0))
+    return total + sum((initial[s] * h for s, h in zip(transient, hit)), Fraction(0))

@@ -4,21 +4,27 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from tsl import (
+    MultiplicityError,
     NoiseSpec,
     ProbMeasure,
     StateSpace,
     TransformationElement,
     act,
+    build_product_chain,
     compose,
     convolve,
     element_carrier,
     mix,
     state_carrier,
+    stationary_law,
     tv_distance,
 )
+
+from oracles import dense_absorption, dense_stationary
 
 COMMON = settings(max_examples=120, derandomize=True, deadline=None)
 
@@ -135,3 +141,41 @@ def test_noise_schedule_matches_prefix_listing(batch, k):
     noise = NoiseSpec(tail, tuple(prefix))
     expected = prefix[-k] if -k < len(prefix) else tail
     assert noise.measure_at(k) == expected
+
+
+@COMMON
+@given(measure_batch(1))
+def test_chain_solves_match_the_dense_reference(batch):
+    _, (tail,), _ = batch
+    chain = build_product_chain(NoiseSpec(tail))
+    rows = chain.transitions
+    for cls in chain.recurrent_classes:
+        members = list(cls.member_ids)
+        pi = dict(cls.stationary)
+        assert sum(pi.values()) == 1
+        for j in members:
+            assert sum(pi[i] * rows[i][j] for i in members) == pi[j]
+        assert [pi[v] for v in members] == dense_stationary(rows, members)
+        assert cls.absorption == dense_absorption(
+            rows, list(chain.initial), list(chain.transient_ids), members
+        )
+    assert sum(c.absorption for c in chain.recurrent_classes) == 1
+
+
+@COMMON
+@given(measure_batch(1))
+def test_stationary_law_matches_the_dense_reference(batch):
+    space, (mu,), _ = batch
+    n = space.size
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for sigma, w in mu.atoms:
+        for x in range(n):
+            rows[x][sigma.image[x]] += w
+    try:
+        law = stationary_law(mu)
+    except MultiplicityError:
+        # several stationary laws: the all-state system is singular
+        with pytest.raises(ValueError):
+            dense_stationary(rows, list(range(n)))
+        return
+    assert [law.weight(x) for x in range(n)] == dense_stationary(rows, list(range(n)))
