@@ -30,6 +30,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .algebra import (
+    FiniteSemigroup,
     StateSpace,
     TransformationElement,
     classify_elements,
@@ -297,14 +298,15 @@ def _load(path: str) -> CompiledProblem:
         return compile_problem(parse_spec(fh.read()))
 
 
-def _guard_closure(compiled: CompiledProblem) -> None:
+def _guard_closure(compiled: CompiledProblem) -> FiniteSemigroup:
     """Refuse early when the noise closure is beyond desk scale.
 
     Must run before any chain or simulation work: the product chain and the
     Cayley table are quadratic in the closure size, so an oversized closure
     has to fail fast with a capacity error instead of exhausting memory.
+    Returns the closure, so a caller that needs it does not build it again.
     """
-    generate_closure(
+    return generate_closure(
         compiled.context.space,
         compiled.noise.support_elements(),
         cap=CLOSURE_CAP,
@@ -329,10 +331,6 @@ def _measure_json(compiled: CompiledProblem, m: ProbMeasure) -> dict:
     return out
 
 
-def _measure_text(compiled: CompiledProblem, m: ProbMeasure) -> str:
-    return " ".join(f"{k}:{v}" for k, v in _measure_json(compiled, m).items())
-
-
 def _family_json(compiled: CompiledProblem, entry: int, fam) -> dict:
     return {
         "origin": fam.origin.kind,
@@ -347,12 +345,13 @@ def _family_json(compiled: CompiledProblem, entry: int, fam) -> dict:
 
 
 def _analysis_payload(
-    compiled: CompiledProblem, report: ClassificationReport, window: int, cap: int
+    compiled: CompiledProblem,
+    closure: FiniteSemigroup,
+    report: ClassificationReport,
+    window: int,
+    cap: int,
 ) -> dict:
     noise = compiled.noise
-    closure = generate_closure(
-        compiled.context.space, noise.support_elements(), cap=CLOSURE_CAP
-    )
     assert closure.elements is not None
     kinds = classify_elements(closure)
     powers, core = power_core(closure)
@@ -464,20 +463,18 @@ def _flag(value: Optional[bool]) -> str:
     return "yes" if value else "no"
 
 
+def _atoms_text(law: dict) -> str:
+    return " ".join(f"{k}:{v}" for k, v in law.items())
+
+
 def _render_analysis(payload: dict) -> str:
     lines = []
     problem = payload["problem"]
     lines.append(f"carrier: {problem['mode']} on {problem['size']} states")
     noise = problem["noise"]
-    lines.append(
-        "noise tail: "
-        + " ".join(f"{k}:{v}" for k, v in noise["tail"].items())
-    )
+    lines.append("noise tail: " + _atoms_text(noise["tail"]))
     for k in sorted(noise["prefix"], key=int, reverse=True):
-        lines.append(
-            f"noise at {k}: "
-            + " ".join(f"{n}:{v}" for n, v in noise["prefix"][k].items())
-        )
+        lines.append(f"noise at {k}: " + _atoms_text(noise["prefix"][k]))
     alg = payload["algebra"]
     lines.append(
         f"closure: {alg['closure_size']} elements: " + " ".join(alg["elements"])
@@ -511,20 +508,11 @@ def _render_analysis(payload: dict) -> str:
             + f"}} period {cls['period']} absorption {cls['absorption']}"
         )
     if lim["limit_law"] is not None:
-        lines.append(
-            "limit law: "
-            + " ".join(f"{k}:{v}" for k, v in lim["limit_law"].items())
-        )
-    lines.append(
-        "cesaro law: "
-        + " ".join(f"{k}:{v}" for k, v in lim["cesaro_law"].items())
-    )
+        lines.append("limit law: " + _atoms_text(lim["limit_law"]))
+    lines.append("cesaro law: " + _atoms_text(lim["cesaro_law"]))
     stat = payload["stationary"]
     if stat["law"] is not None:
-        lines.append(
-            "stationary state law: "
-            + " ".join(f"{k}:{v}" for k, v in stat["law"].items())
-        )
+        lines.append("stationary state law: " + _atoms_text(stat["law"]))
     else:
         lines.append(f"stationary state law: {stat['error']}")
     if lim["subgroup"] is not None:
@@ -540,10 +528,9 @@ def _render_analysis(payload: dict) -> str:
     certified = "certified" if sol["certified_extremal"] else "not certified"
     lines.append(f"solution families ({len(sol['families'])}, {certified}):")
     for fam in sol["families"]:
-        law0 = " ".join(f"{k}:{v}" for k, v in fam["window"]["0"].items())
         lines.append(
             f"  {fam['origin']}(entry {fam['entry']}), tail period "
-            f"{fam['tail_period']}, law at 0: {law0}"
+            f"{fam['tail_period']}, law at 0: {_atoms_text(fam['window']['0'])}"
         )
     cls = payload["classification"]
     lines.append("classification:")
@@ -576,14 +563,16 @@ def _json_dump(payload: dict) -> str:
 
 def _cmd_analyze(args) -> int:
     compiled = _load(args.spec)
-    _guard_closure(compiled)
+    closure = _guard_closure(compiled)
     report = classify(
         compiled.noise,
         compiled.context,
         window=args.window,
         subgroup_cap=args.subgroup_cap,
     )
-    payload = _analysis_payload(compiled, report, args.window, args.subgroup_cap)
+    payload = _analysis_payload(
+        compiled, closure, report, args.window, args.subgroup_cap
+    )
     if args.json:
         sys.stdout.write(_json_dump(payload))
     else:

@@ -556,6 +556,34 @@ def stationary_on_class(
     return pi
 
 
+def transient_system(
+    out: Sequence[Mapping[int, Fraction]],
+    transient: Sequence[int],
+    target_of: Mapping[int, int],
+    targets: int,
+) -> tuple[dict[int, int], list[dict[int, Fraction]], list[list[Fraction]]]:
+    """The (I - Q) rows over ``transient`` and one right-hand side per target.
+
+    ``out[v]`` maps each successor of state v to its transition weight, and
+    ``target_of`` sends a non-transient state to the index of its target;
+    right-hand side k holds each transient state's one-step weight into
+    target k.  Steps into non-transient states outside ``target_of`` count
+    for no target.  Also returns each transient state's row position.
+    """
+    pos = {v: i for i, v in enumerate(transient)}
+    system: list[dict[int, Fraction]] = []
+    rhss = [[Fraction(0)] * len(transient) for _ in range(targets)]
+    for i, s in enumerate(transient):
+        row = {i: Fraction(1)}
+        for t, w in out[s].items():
+            if t in pos:
+                row[pos[t]] = row.get(pos[t], Fraction(0)) - w
+            elif t in target_of:
+                rhss[target_of[t]][i] += w
+        system.append(row)
+    return pos, system, rhss
+
+
 def _absorption_probabilities(
     out: Sequence[Mapping[int, Fraction]],
     transient: Sequence[int],
@@ -567,18 +595,8 @@ def _absorption_probabilities(
     One solve of (I - Q) h = r over the transient states, with one
     right-hand side r per class: the one-step weight into that class.
     """
-    pos = {v: i for i, v in enumerate(transient)}
     class_of = {v: k for k, members in enumerate(classes) for v in members}
-    system: list[dict[int, Fraction]] = []
-    rhss = [[Fraction(0)] * len(transient) for _ in classes]
-    for i, s in enumerate(transient):
-        row = {i: Fraction(1)}
-        for t, w in out[s].items():
-            if t in pos:
-                row[pos[t]] = row.get(pos[t], Fraction(0)) - w
-            else:
-                rhss[class_of[t]][i] += w
-        system.append(row)
+    pos, system, rhss = transient_system(out, transient, class_of, len(classes))
     hits = solve_linear(system, rhss)
     totals = [Fraction(0)] * len(classes)
     for s, w in enumerate(initial):

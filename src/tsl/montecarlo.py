@@ -31,6 +31,7 @@ from .measures import (
     convolve,
     solve_linear,
     state_carrier,
+    transient_system,
 )
 from .solver import SolutionLawFamily
 
@@ -177,6 +178,14 @@ class _Compiled:
             return self.stage_atom_ids[m][self.stage_samplers[m].draw(rng)]
         return self.tail_atom_ids[self.tail_sampler.draw(rng)]
 
+    def draw_product_id(self, rng: SplitMix64, depth: int) -> int:
+        """Draw the factors for k = 0, -1, ..., -depth+1; return their product's id."""
+        draw, cayley = self.draw_noise_id, self.cayley
+        pid = draw(rng, 0)
+        for m in range(1, depth):
+            pid = cayley[pid][draw(rng, m)]
+        return pid
+
 
 @dataclass(frozen=True)
 class PathSample:
@@ -306,11 +315,7 @@ def estimate_law(
     counts: dict = {}
     if observable == "product":
         for trial in range(cfg.trials):
-            rng = trial_stream(cfg.seed, trial)
-            pid = -1
-            for m in range(cfg.depth):
-                nid = comp.draw_noise_id(rng, m)
-                pid = nid if m == 0 else comp.cayley[pid][nid]
+            pid = comp.draw_product_id(trial_stream(cfg.seed, trial), cfg.depth)
             key = comp.elements[pid]
             counts[key] = counts.get(key, 0) + 1
         return _estimate_from_counts(counts, list(comp.elements), cfg.trials, cfg.depth)
@@ -319,10 +324,7 @@ def estimate_law(
     sampler, keys = _entry_sampler(_as_entry_measure(noise, entry))
     for trial in range(cfg.trials):
         rng = trial_stream(cfg.seed, trial)
-        pid = -1
-        for m in range(cfg.depth):
-            nid = comp.draw_noise_id(rng, m)
-            pid = nid if m == 0 else comp.cayley[pid][nid]
+        pid = comp.draw_product_id(rng, cfg.depth)
         x = keys[sampler.draw(rng)]
         y = comp.action[pid][x]
         counts[y] = counts.get(y, 0) + 1
@@ -353,15 +355,18 @@ class StoppingTimeStats:
     infinite_mass: Fraction
 
 
-def _exact_absorption(noise: NoiseSpec) -> tuple[Optional[Fraction], Fraction]:
+def _exact_absorption(
+    noise: NoiseSpec, comp: _Compiled
+) -> tuple[Optional[Fraction], Fraction]:
     """Exact E[T] and P(T = infinity) for the generalized absorption time.
 
     E[T] = sum over t >= 0 of P(T > t).  The prefix part is stepped law by
     law; from the first all-tail time on, the remainder is the expected
     absorption time of the homogeneous product chain, solved exactly via
-    the fundamental matrix on the transient states.
+    the fundamental matrix on the transient states.  Under the tail, the
+    singleton closed classes of that chain are the absorbing products and
+    the larger ones are never left, so entering them means T = infinity.
     """
-    comp = _Compiled(noise)
     m = len(comp.elements)
     plen = noise.prefix_length
     steps = max(plen, 1)
@@ -382,47 +387,35 @@ def _exact_absorption(noise: NoiseSpec) -> tuple[Optional[Fraction], Fraction]:
             for e, we in mu.atoms:
                 nxt[comp.cayley[i][comp.index[e]]] += w * we
         law = nxt
-    residual = {
-        i: w for i, w in enumerate(law) if w != 0 and i not in comp.tail_absorbing
-    }
-    tail_weights: dict[int, Fraction] = {}
-    for e, w in noise.tail.atoms:
-        tail_weights[comp.index[e]] = tail_weights.get(comp.index[e], Fraction(0)) + w
-    succ = [
-        sorted({comp.cayley[i][f] for f in tail_weights}) for i in range(m)
-    ]
-    never = {
-        v for members in closed_classes(succ) for v in members
-        if v not in comp.tail_absorbing
-    }
-    transient = [
-        i for i in range(m) if i not in comp.tail_absorbing and i not in never
-    ]
-    pos = {v: i for i, v in enumerate(transient)}
-    size = len(transient)
-    identity_minus_q: list[dict[int, Fraction]] = []
-    into_never = [Fraction(0)] * size
-    for i, s in enumerate(transient):
-        row = {i: Fraction(1)}
-        for f, w in tail_weights.items():
-            t = comp.cayley[s][f]
-            if t in pos:
-                row[pos[t]] = row.get(pos[t], Fraction(0)) - w
-            elif t in never:
-                into_never[i] += w
-        identity_minus_q.append(row)
-    hit_never, expected = solve_linear(
-        identity_minus_q, [into_never, [Fraction(1)] * size]
+    out: list[dict[int, Fraction]] = []
+    for i in range(m):
+        row: dict[int, Fraction] = {}
+        for f, (_, w) in zip(comp.tail_atom_ids, noise.tail.atoms):
+            t = comp.cayley[i][f]
+            row[t] = row.get(t, Fraction(0)) + w
+        out.append(row)
+    classes = closed_classes([sorted(row) for row in out])
+    absorbing = {members[0] for members in classes if len(members) == 1}
+    never = {v for members in classes if len(members) > 1 for v in members}
+    transient = [i for i in range(m) if i not in absorbing and i not in never]
+    pos, identity_minus_q, (into_never,) = transient_system(
+        out, transient, dict.fromkeys(never, 0), 1
     )
-    infinite = sum((w for s, w in residual.items() if s in never), Fraction(0))
-    for s, w in residual.items():
-        if s in pos:
+    hit_never, expected = solve_linear(
+        identity_minus_q, [into_never, [Fraction(1)] * len(transient)]
+    )
+    infinite = Fraction(0)
+    total = Fraction(1) + head
+    for s, w in enumerate(law):
+        if w == 0 or s in absorbing:
+            continue
+        if s in never:
+            infinite += w
+        else:
             infinite += w * hit_never[pos[s]]
+            total += w * expected[pos[s]]
     if infinite != 0:
         return None, infinite
-    total = Fraction(1) + head
-    for s, w in residual.items():
-        total += w * expected[pos[s]]
     return total, Fraction(0)
 
 
@@ -445,7 +438,7 @@ def stopping_time_stats(noise: NoiseSpec, cfg: SimConfig) -> StoppingTimeStats:
             unabsorbed += 1
         else:
             times.append(absorbed)
-    exact_mean, infinite = _exact_absorption(noise)
+    exact_mean, infinite = _exact_absorption(noise, comp)
     if times:
         mean = sum(times) / len(times)
         var = sum((t - mean) ** 2 for t in times) / len(times)
@@ -487,10 +480,7 @@ def coupling_samples(
     s2, k2 = _entry_sampler(second.law_at(-cfg.depth))
     for trial in range(cfg.trials):
         rng = trial_stream(cfg.seed, trial)
-        pid = -1
-        for m in range(cfg.depth):
-            nid = comp.draw_noise_id(rng, m)
-            pid = nid if m == 0 else comp.cayley[pid][nid]
+        pid = comp.draw_product_id(rng, cfg.depth)
         x1 = k1[s1.draw(rng)]
         x2 = k2[s2.draw(rng)]
         y1 = comp.action[pid][x1]

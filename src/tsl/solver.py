@@ -201,18 +201,19 @@ def _dedupe(pairs: Sequence[tuple[int, SolutionLawFamily]]) -> tuple[tuple[int, 
     return tuple(out)
 
 
-def _extremal_candidates(
-    noise: NoiseSpec, limit: LimitLawReport
+def _entry_point_families(
+    noise: NoiseSpec,
+    law: ProbMeasure,
+    window: Sequence[tuple[int, ProbMeasure]],
 ) -> list[tuple[int, SolutionLawFamily]]:
-    assert limit.nu is not None and limit.nu_window is not None
-    n = noise.space.size
+    """One family per entry state x: the element laws `window` and `law` acting on x."""
     car = state_carrier(noise.space)
     pairs = []
-    for x in range(n):
+    for x in range(noise.space.size):
         entry = ProbMeasure.point(car, x)
-        window = {k: act(m, entry) for k, m in limit.nu_window}
-        cycle = (act(limit.nu, entry),)
-        fam = make_family(noise, window, cycle, Origin("extremal", entry_state=x))
+        window_laws = {k: act(m, entry) for k, m in window}
+        cycle = (act(law, entry),)
+        fam = make_family(noise, window_laws, cycle, Origin("extremal", entry_state=x))
         pairs.append((x, fam))
     return pairs
 
@@ -236,7 +237,7 @@ def extremal_solutions(
         raise UnsupportedCaseError(
             "backward products do not converge in law; no entry-point families"
         )
-    return _dedupe(_extremal_candidates(noise, limit))
+    return _dedupe(_entry_point_families(noise, limit.nu, limit.nu_window))
 
 
 def cesaro_solutions(
@@ -254,27 +255,12 @@ def cesaro_solutions(
     """
     if limit is None:
         limit = limit_analysis(noise, context, window=window)
-    n = noise.space.size
-    car = state_carrier(noise.space)
-    pairs = []
-    for x in range(n):
-        entry = ProbMeasure.point(car, x)
-        window_laws = {k: act(m, entry) for k, m in limit.cesaro_window}
-        cycle = (act(limit.cesaro, entry),)
-        fam = make_family(noise, window_laws, cycle, Origin("extremal", entry_state=x))
-        pairs.append((x, fam))
-    return _dedupe(pairs)
+    return _dedupe(_entry_point_families(noise, limit.cesaro, limit.cesaro_window))
 
 
-def _cyclic_residues(noise: NoiseSpec, context: ActionContext) -> dict:
+def _require_cyclic(context: ActionContext) -> None:
     if context.kind != "cyclic" or context.modulus is None:
         raise UnsupportedCaseError("operation needs a cyclic group carrier")
-    n = context.modulus
-
-    def residue(e: TransformationElement) -> int:
-        return context.element_state(e)
-
-    return {"n": n, "residue": residue}
 
 
 def cyclic_coset_families(
@@ -290,11 +276,11 @@ def cyclic_coset_families(
     the recursion with a periodic drift.  One family per coset of H; this
     list is the complete set of extremal solutions for cyclic carriers.
     """
-    info = _cyclic_residues(noise, context)
-    n = info["n"]
+    _require_cyclic(context)
+    n = context.modulus
     four = fourier_trichotomy(noise, context)
     h = four.h_mu
-    g0 = min(info["residue"](e) for e in noise.tail.support)
+    g0 = min(context.element_state(e) for e in noise.tail.support)
     drift_order = next(t for t in range(1, n + 1) if (t * g0) % n in h)
     reps = sorted({min((a + e) % n for e in h) for a in range(n)})
     depth = max(window, noise.prefix_length)
@@ -594,9 +580,9 @@ def fourier_trichotomy(noise: NoiseSpec, context: ActionContext) -> FourierRepor
     p_mu = 0 full decay (C1), p_mu = 1 point masses (C2), p_mu >= 2 proper
     periodic invariance (C3).  h_mu is the annihilator subgroup.
     """
-    info = _cyclic_residues(noise, context)
-    n = info["n"]
-    support = sorted({info["residue"](e) for e in noise.tail.support})
+    _require_cyclic(context)
+    n = context.modulus
+    support = sorted({context.element_state(e) for e in noise.tail.support})
     g0 = support[0]
     z = tuple(
         p for p in range(n) if all((p * (g - g0)) % n == 0 for g in support)
@@ -763,7 +749,7 @@ def classify(
         left_canc = is_left_cancellative(effective)
         all_injective = all(e.is_injective() for e in effective.elements)
         if left_canc and all_injective:
-            candidates = _extremal_candidates(noise, limit)
+            candidates = _entry_point_families(noise, limit.nu, limit.nu_window)
             anchors: dict[int, list[int]] = {}
             reps: dict[int, SolutionLawFamily] = {}
             for x, fam in candidates:

@@ -79,3 +79,16 @@ def run_cli(argv, cwd) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-m", "tsl", *argv], capture_output=True, cwd=cwd, env=env
     )
+
+
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Wrap `module.name` for one test; each call appends its arguments to the returned list."""
+    calls: list = []
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls

@@ -180,3 +180,78 @@ def dense_absorption(
     hit = dense_solve(system, rhs) if m else []
     total = sum((initial[v] for v in members), Fraction(0))
     return total + sum((initial[s] * h for s, h in zip(transient, hit)), Fraction(0))
+
+
+def absorption_time_reference(
+    prefix: list[dict[tuple[int, ...], Fraction]],
+    tail: dict[tuple[int, ...], Fraction],
+) -> tuple[Fraction | None, Fraction]:
+    """(E[T], P(T = infinity)) of the generalized absorption time, from the definitions.
+
+    P(t) composes the first t factors, factor m drawn from prefix[m] while
+    m < len(prefix) and from the tail after that.  T is the first t at which
+    P(t) is fixed on the right by every factor that can still come.  From the
+    first all-tail step on, P moves by right multiplication with a tail
+    factor.  Over the products reachable from there, the probability h of
+    ever reaching the tail-absorbing set and the expected time x to reach it
+    solve h = Q h + r and x = Q x + 1 on the states that can reach the set
+    and are not in it.  E[T] is None unless absorption is almost sure.
+    """
+    steps = max(len(prefix), 1)
+
+    def stage(m: int) -> dict[tuple[int, ...], Fraction]:
+        return prefix[m] if m < len(prefix) else tail
+
+    def fixed(s: tuple[int, ...], factors) -> bool:
+        return all(compose_images(s, f) == s for f in factors)
+
+    law = dict(stage(0))
+    before = Fraction(0)  # P(T > t) summed over t = 1..steps-1
+    for t in range(1, steps):
+        remaining = set(tail)
+        for m in range(t, len(prefix)):
+            remaining.update(prefix[m])
+        before += sum((w for s, w in law.items() if not fixed(s, remaining)), Fraction(0))
+        nxt: dict[tuple[int, ...], Fraction] = {}
+        for s, w in law.items():
+            for f, wf in stage(t).items():
+                p = compose_images(s, f)
+                nxt[p] = nxt.get(p, Fraction(0)) + w * wf
+        law = nxt
+
+    reachable = set(law)
+    frontier = list(law)
+    while frontier:
+        frontier = [
+            p for p in {compose_images(s, f) for s in frontier for f in tail}
+            if p not in reachable
+        ]
+        reachable.update(frontier)
+    absorbing = {s for s in reachable if fixed(s, tail)}
+    reaches = set(absorbing)
+    grew = True
+    while grew:
+        grew = False
+        for s in reachable - reaches:
+            if any(compose_images(s, f) in reaches for f in tail):
+                reaches.add(s)
+                grew = True
+    unknown = sorted(reaches - absorbing)
+    at = {s: i for i, s in enumerate(unknown)}
+    system = [[Fraction(int(i == j)) for j in range(len(unknown))] for i in range(len(unknown))]
+    into_absorbing = [Fraction(0)] * len(unknown)
+    for s, i in at.items():
+        for f, w in tail.items():
+            p = compose_images(s, f)
+            if p in at:
+                system[i][at[p]] -= w
+            elif p in absorbing:
+                into_absorbing[i] += w
+    hit = dense_solve(system, into_absorbing) if unknown else []
+    absorbed = sum((w for s, w in law.items() if s in absorbing), Fraction(0))
+    absorbed += sum((w * hit[at[s]] for s, w in law.items() if s in at), Fraction(0))
+    if absorbed != 1:
+        return None, 1 - absorbed
+    wait = dense_solve(system, [Fraction(1)] * len(unknown)) if unknown else []
+    after = sum((w * wait[at[s]] for s, w in law.items() if s in at), Fraction(0))
+    return 1 + before + after, Fraction(0)

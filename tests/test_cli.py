@@ -19,7 +19,9 @@ from tsl import (
     serialize_spec,
 )
 
-from helpers import GEN_A, run_cli, two_map_noise
+import tsl.cli
+
+from helpers import GEN_A, count_calls, run_cli, two_map_noise
 
 HALF = Fraction(1, 2)
 
@@ -282,6 +284,39 @@ def test_analyze_json_is_canonical_and_byte_stable(capsys, specs_dir):
     assert families[0]["window"]["0"] == {"1": "1/3", "2": "1/3", "3": "1/3"}
     assert families[0]["window"]["-8"] == families[0]["window"]["0"]
     assert families[0]["tail_cycle"] == [{"1": "1/3", "2": "1/3", "3": "1/3"}]
+
+
+def test_analyze_builds_the_noise_closure_once(capsys, specs_dir, monkeypatch):
+    calls = count_calls(monkeypatch, tsl.cli, "generate_closure")
+    rc, _, _ = run(capsys, ["analyze", str(specs_dir / "three_state.tsl")])
+    assert rc == 0
+    assert len(calls) == 1
+
+
+# cyc4-rank3: a 4-cycle and a rank-3 map on four states, uniform noise
+CYC4_RANK3_TEXT = (
+    "space 4\n"
+    "gen g1 = 2 3 4 1\n"
+    "gen g2 = 1 1 3 4\n"
+    "noise iid g1:1/2 g2:1/2\n"
+)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="recurrent-class members are labelled as closure ids, but they "
+    "index the product chain's states",
+)
+def test_analyze_recurrent_classes_carry_the_limit_law(capsys, tmp_path):
+    path = tmp_path / "cyc4-rank3.tsl"
+    path.write_text(CYC4_RANK3_TEXT)
+    rc, out, _ = run(capsys, ["analyze", str(path), "--json"])
+    assert rc == 0
+    limits = json.loads(out)["limits"]
+    for cls in limits["recurrent_classes"]:
+        if Fraction(cls["absorption"]) > 0:
+            for member in cls["members"]:
+                assert member in limits["cesaro_law"]
 
 
 def test_analyze_json_subgroup_cap_degrades_to_a_note(capsys, specs_dir):

@@ -5,12 +5,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tsl import (
     MultiplicityError,
     NoiseSpec,
     ProbMeasure,
+    SimConfig,
     StateSpace,
     TransformationElement,
     act,
@@ -21,10 +22,12 @@ from tsl import (
     mix,
     state_carrier,
     stationary_law,
+    stopping_time_stats,
     tv_distance,
 )
 
-from oracles import dense_absorption, dense_stationary
+from helpers import element_measure
+from oracles import absorption_time_reference, dense_absorption, dense_stationary
 
 COMMON = settings(max_examples=120, derandomize=True, deadline=None)
 
@@ -35,9 +38,9 @@ def _normalized(weights: list[int]) -> list[Fraction]:
 
 
 @st.composite
-def measure_batch(draw, element_count: int, state_count: int = 0):
+def measure_batch(draw, element_count: int, state_count: int = 0, max_states: int = 4):
     """Element measures (and optional state measures) on one shared space."""
-    n = draw(st.integers(2, 4))
+    n = draw(st.integers(2, max_states))
     space = StateSpace.of_size(n)
     e_car = element_carrier(space)
     out = []
@@ -179,3 +182,31 @@ def test_stationary_law_matches_the_dense_reference(batch):
             dense_stationary(rows, list(range(n)))
         return
     assert [law.weight(x) for x in range(n)] == dense_stationary(rows, list(range(n)))
+
+
+def _absorption_case(n: int, tail: dict, *prefix: dict):
+    space = StateSpace.of_size(n)
+    return space, [element_measure(space, m) for m in (tail, *prefix)], []
+
+
+@COMMON
+@given(st.integers(1, 3).flatmap(lambda count: measure_batch(count, max_states=3)))
+# Cases whose closure has a closed class of several products: a swap that
+# is never left, entered with probability 3/5 and 3/4 ...
+@example(_absorption_case(2, {(1, 0): 1}, {(0, 1): "3/5", (1, 1): "2/5"}))
+@example(_absorption_case(2, {(1, 0): 1}, {(1, 0): "3/4", (0, 0): "1/4"}, {(0, 1): 1}))
+# ... a four-product class the prefix steers around (E[T] = 2) ...
+@example(_absorption_case(3, {(2, 1, 2): "1/2", (2, 2, 1): "1/2"}, {(2, 1, 1): 1}))
+# ... and a pure permutation walk, which never absorbs.
+@example(_absorption_case(3, {(1, 0, 2): 1}))
+def test_absorption_time_matches_the_definition(batch):
+    _, (tail, *prefix), _ = batch
+    noise = NoiseSpec(tail, tuple(prefix))
+    stats = stopping_time_stats(noise, SimConfig(depth=1, trials=1))
+
+    def images(m: ProbMeasure) -> dict:
+        return {e.image: w for e, w in m.atoms}
+
+    assert (stats.exact_mean, stats.infinite_mass) == absorption_time_reference(
+        [images(m) for m in prefix], images(tail)
+    )

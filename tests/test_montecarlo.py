@@ -27,7 +27,16 @@ from tsl import (
     within_three_sigma,
 )
 
-from helpers import THREE, cyclic_noise, element_measure, three_ctx, two_map_noise
+import tsl.montecarlo
+
+from helpers import (
+    THREE,
+    count_calls,
+    cyclic_noise,
+    element_measure,
+    three_ctx,
+    two_map_noise,
+)
 from oracles import (
     apply_law,
     convolution_power,
@@ -299,6 +308,12 @@ def test_stopping_time_with_prefix_counts_the_remaining_factors():
     assert abs(stats.empirical_mean - float(stats.exact_mean)) <= max(
         3 * stats.empirical_stderr, 1e-12
     )
+
+
+def test_stopping_time_stats_builds_one_closure(monkeypatch):
+    calls = count_calls(monkeypatch, tsl.montecarlo, "generate_closure")
+    stopping_time_stats(half_noise(), SimConfig(depth=8, trials=10, seed=1))
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------- coupling
