@@ -213,7 +213,8 @@ def generate_closure(
     Element order is breadth-first from the generators (kept in given order,
     deduplicated), with each new frontier sorted by image-list lexicographic
     order.  The order is part of the contract: reports index elements by it.
-    A cap bounds the closure size; exceeding it raises CapacityError.
+    A cap bounds the closure size; the product that would exceed it raises
+    CapacityError at once, before the rest of its round is composed.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -235,16 +236,16 @@ def generate_closure(
                 p = compose(a, b)
                 if p not in index:
                     fresh.add(p)
+                    if cap is not None and len(order) + len(fresh) > cap:
+                        raise CapacityError(
+                            f"closure exceeded the cap of {cap} elements",
+                            cap=cap,
+                        )
         if not fresh:
             break
         for p in sorted(fresh):
             index[p] = len(order)
             order.append(p)
-        if cap is not None and len(order) > cap:
-            raise CapacityError(
-                f"closure exceeded the cap of {cap} elements",
-                cap=cap,
-            )
     elements = tuple(order)
     cayley = tuple(
         tuple(index[compose(a, b)] for b in elements) for a in elements

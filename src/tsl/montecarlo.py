@@ -8,7 +8,13 @@ ceil(c * 2^64) for the cumulative weights c, which is exactly the event
 u / 2^64 < c; no floating point enters the sampling path.
 
 Per trial the draw order is fixed: the noise for k = 0, -1, ..., -depth+1
-first, then any entry-state draws.  Estimators report empirical frequencies
+first, then any entry-state draws.  The estimators stop drawing noise once
+the running product is absorbed, that is, fixed by every factor that can
+still come: the remaining factors cannot change it.  Before any entry draw
+the stream is advanced in O(1) to where all depth noise draws would have
+left it (SplitMix64 adds GAMMA to its state per draw), so every result is
+the same as with all draws made.  `simulate_paths` still draws every
+factor, because it reports them.  Estimators report empirical frequencies
 with binomial standard errors; exact references for the same quantities
 come from the measure layer, so tests can hold simulation against closed
 form at three sigma.
@@ -16,10 +22,12 @@ form at three sigma.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import sqrt
-from typing import Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .algebra import TransformationElement, generate_closure
 from .errors import CarrierMismatchError, InternalInconsistencyError
@@ -124,15 +132,25 @@ class _Sampler:
         self.breaks = breaks
 
     def draw(self, rng: SplitMix64) -> int:
-        u = rng.next_u64()
-        for i, b in enumerate(self.breaks):
-            if u < b:
-                return i
-        raise InternalInconsistencyError("draw beyond the last breakpoint")
+        # the first i with u < breaks[i]; the last breakpoint exceeds every u
+        return bisect_right(self.breaks, rng.next_u64())
+
+
+class _Stage(NamedTuple):
+    """One factor draw: sampler breakpoints, atom ids, and the products that
+    every factor still to come after this one leaves fixed."""
+
+    breaks: list
+    ids: list
+    absorbing: frozenset
 
 
 class _Compiled:
-    """Integer tables for one noise spec: ids, products, actions, absorption."""
+    """Integer tables for one noise spec: ids, products, actions, absorption.
+
+    ``stages[m]`` is the draw of the factor at time -m for m below the
+    prefix length; the last entry serves every later time, from the tail.
+    """
 
     def __init__(self, noise: NoiseSpec):
         self.noise = noise
@@ -142,24 +160,16 @@ class _Compiled:
         self.index = {e: i for i, e in enumerate(self.elements)}
         self.cayley = closure.cayley
         self.action = tuple(e.image for e in self.elements)
-        plen = noise.prefix_length
-        self.prefix_len = plen
-        self.stage_samplers = []
-        self.stage_atom_ids = []
-        for stage in range(plen):
-            mu = noise.prefix[stage]
-            self.stage_samplers.append(_Sampler([w for _, w in mu.atoms]))
-            self.stage_atom_ids.append([self.index[e] for e, _ in mu.atoms])
-        tail = noise.tail
-        self.tail_sampler = _Sampler([w for _, w in tail.atoms])
-        self.tail_atom_ids = [self.index[e] for e, _ in tail.atoms]
-        self.absorbing = []
-        for t in range(1, plen + 1):
-            remaining = set(self.tail_atom_ids)
-            for j in range(t, plen):
-                remaining.update(self.index[e] for e, _ in noise.prefix[j].atoms)
-            self.absorbing.append(self._absorbing_set(remaining))
-        self.tail_absorbing = self._absorbing_set(set(self.tail_atom_ids))
+        self.prefix_len = plen = noise.prefix_length
+        measures = (*noise.prefix, noise.tail)
+        ids = [[self.index[e] for e, _ in mu.atoms] for mu in measures]
+        stages = []
+        later: set = set()  # ids of every factor after stage m, the tail's included
+        for m in range(plen, -1, -1):
+            later.update(ids[min(m + 1, plen)])
+            breaks = _Sampler([w for _, w in measures[m].atoms]).breaks
+            stages.append(_Stage(breaks, ids[m], self._absorbing_set(later)))
+        self.stages = stages[::-1]
 
     def _absorbing_set(self, factor_ids: set) -> frozenset:
         return frozenset(
@@ -168,23 +178,65 @@ class _Compiled:
             if all(self.cayley[i][f] == i for f in factor_ids)
         )
 
-    def absorbing_at(self, t: int) -> frozenset:
-        if t <= len(self.absorbing):
-            return self.absorbing[t - 1]
-        return self.tail_absorbing
+    def plan(self, depth: int) -> list[_Stage]:
+        """The stages of the factors for k = 0, -1, ..., -depth+1, in draw order."""
+        return [self.stages[min(m, self.prefix_len)] for m in range(depth)]
 
-    def draw_noise_id(self, rng: SplitMix64, m: int) -> int:
-        if m < self.prefix_len:
-            return self.stage_atom_ids[m][self.stage_samplers[m].draw(rng)]
-        return self.tail_atom_ids[self.tail_sampler.draw(rng)]
+    def trial_kernel(
+        self, depth: int
+    ) -> Callable[[SplitMix64], tuple[int, Optional[int]]]:
+        """The trial loop over `depth` factors: stream -> (product id, absorbed_at).
 
-    def draw_product_id(self, rng: SplitMix64, depth: int) -> int:
-        """Draw the factors for k = 0, -1, ..., -depth+1; return their product's id."""
-        draw, cayley = self.draw_noise_id, self.cayley
-        pid = draw(rng, 0)
-        for m in range(1, depth):
-            pid = cayley[pid][draw(rng, m)]
-        return pid
+        ``absorbed_at`` is the first count t of factors whose product lies in
+        the absorbing set of stage t-1, None if there is none within the
+        depth.  Every later factor fixes that product, so drawing stops there
+        and the stream is left after draw t; the product id is the product of
+        all `depth` factors either way.  When no stage can absorb, the loop
+        makes no membership test.
+        """
+        plan = self.plan(depth)
+        # one extra row for "no factor yet": it maps each factor to itself
+        table = (*self.cayley, tuple(range(len(self.elements))))
+        start = len(self.elements)
+
+        if not any(stage.absorbing for stage in plan):
+
+            def run_all(rng: SplitMix64) -> tuple[int, Optional[int]]:
+                state, pid = rng.state, start
+                for breaks, ids, _ in plan:
+                    state = (state + GAMMA) & _MASK
+                    z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+                    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+                    pid = table[pid][ids[bisect_right(breaks, z ^ (z >> 31))]]
+                rng.state = state
+                return pid, None
+
+            return run_all
+
+        def run_until_absorbed(rng: SplitMix64) -> tuple[int, Optional[int]]:
+            state, pid = rng.state, start
+            for t, (breaks, ids, absorbing) in enumerate(plan, 1):
+                state = (state + GAMMA) & _MASK
+                z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+                pid = table[pid][ids[bisect_right(breaks, z ^ (z >> 31))]]
+                if pid in absorbing:
+                    rng.state = state
+                    return pid, t
+            rng.state = state
+            return pid, None
+
+        return run_until_absorbed
+
+
+def _skip_to_window_end(rng: SplitMix64, depth: int, absorbed_at: Optional[int]) -> None:
+    """Move the stream to where all `depth` factor draws would have left it.
+
+    SplitMix64 adds GAMMA to its state per draw, so skipping k draws is one
+    addition of k * GAMMA.
+    """
+    if absorbed_at is not None:
+        rng.state = (rng.state + (depth - absorbed_at) * GAMMA) & _MASK
 
 
 @dataclass(frozen=True)
@@ -237,19 +289,20 @@ def simulate_paths(
     entry_tables = None
     if entry is not None:
         entry_tables = _entry_sampler(_as_entry_measure(noise, entry))
+    plan = comp.plan(cfg.depth)
+    cayley = comp.cayley
     for trial in range(cfg.trials):
         rng = trial_stream(cfg.seed, trial)
-        ids = []
-        product_ids = []
-        pid = -1
-        absorbed = None
-        for m in range(cfg.depth):
-            nid = comp.draw_noise_id(rng, m)
-            ids.append(nid)
-            pid = nid if m == 0 else comp.cayley[pid][nid]
-            product_ids.append(pid)
-            if absorbed is None and pid in comp.absorbing_at(m + 1):
-                absorbed = m + 1
+        ids = [stage.ids[bisect_right(stage.breaks, rng.next_u64())] for stage in plan]
+        product_ids = list(accumulate(ids, lambda p, f: cayley[p][f]))
+        absorbed = next(
+            (
+                t
+                for t, (pid, stage) in enumerate(zip(product_ids, plan), 1)
+                if pid in stage.absorbing
+            ),
+            None,
+        )
         x_path = None
         if entry_tables is not None:
             sampler, keys = entry_tables
@@ -312,10 +365,11 @@ def estimate_law(
     if observable not in ("product", "state"):
         raise ValueError(f"unknown observable {observable!r}")
     comp = _Compiled(noise)
+    run_trial = comp.trial_kernel(cfg.depth)
     counts: dict = {}
     if observable == "product":
         for trial in range(cfg.trials):
-            pid = comp.draw_product_id(trial_stream(cfg.seed, trial), cfg.depth)
+            pid, _ = run_trial(trial_stream(cfg.seed, trial))
             key = comp.elements[pid]
             counts[key] = counts.get(key, 0) + 1
         return _estimate_from_counts(counts, list(comp.elements), cfg.trials, cfg.depth)
@@ -324,7 +378,8 @@ def estimate_law(
     sampler, keys = _entry_sampler(_as_entry_measure(noise, entry))
     for trial in range(cfg.trials):
         rng = trial_stream(cfg.seed, trial)
-        pid = comp.draw_product_id(rng, cfg.depth)
+        pid, absorbed_at = run_trial(rng)
+        _skip_to_window_end(rng, cfg.depth, absorbed_at)
         x = keys[sampler.draw(rng)]
         y = comp.action[pid][x]
         counts[y] = counts.get(y, 0) + 1
@@ -377,7 +432,7 @@ def _exact_absorption(
         law[comp.index[e]] += w
     head = Fraction(0)
     for t in range(1, steps):
-        absorbing = comp.absorbing_at(t)
+        absorbing = comp.stages[t - 1].absorbing
         head += sum((w for i, w in enumerate(law) if i not in absorbing), Fraction(0))
         nxt = [Fraction(0)] * m
         mu = noise.measure_at(-t)
@@ -390,7 +445,7 @@ def _exact_absorption(
     out: list[dict[int, Fraction]] = []
     for i in range(m):
         row: dict[int, Fraction] = {}
-        for f, (_, w) in zip(comp.tail_atom_ids, noise.tail.atoms):
+        for f, (_, w) in zip(comp.stages[-1].ids, noise.tail.atoms):
             t = comp.cayley[i][f]
             row[t] = row.get(t, Fraction(0)) + w
         out.append(row)
@@ -422,18 +477,11 @@ def _exact_absorption(
 def stopping_time_stats(noise: NoiseSpec, cfg: SimConfig) -> StoppingTimeStats:
     """Empirical absorption times against the exact fundamental-matrix value."""
     comp = _Compiled(noise)
+    run_trial = comp.trial_kernel(cfg.depth)
     times = []
     unabsorbed = 0
     for trial in range(cfg.trials):
-        rng = trial_stream(cfg.seed, trial)
-        pid = -1
-        absorbed = None
-        for m in range(cfg.depth):
-            nid = comp.draw_noise_id(rng, m)
-            pid = nid if m == 0 else comp.cayley[pid][nid]
-            if pid in comp.absorbing_at(m + 1):
-                absorbed = m + 1
-                break
+        _, absorbed = run_trial(trial_stream(cfg.seed, trial))
         if absorbed is None:
             unabsorbed += 1
         else:
@@ -476,11 +524,13 @@ def coupling_samples(
     families with remote-past entries.
     """
     comp = _Compiled(noise)
+    run_trial = comp.trial_kernel(cfg.depth)
     s1, k1 = _entry_sampler(first.law_at(-cfg.depth))
     s2, k2 = _entry_sampler(second.law_at(-cfg.depth))
     for trial in range(cfg.trials):
         rng = trial_stream(cfg.seed, trial)
-        pid = comp.draw_product_id(rng, cfg.depth)
+        pid, absorbed_at = run_trial(rng)
+        _skip_to_window_end(rng, cfg.depth, absorbed_at)
         x1 = k1[s1.draw(rng)]
         x2 = k2[s2.draw(rng)]
         y1 = comp.action[pid][x1]

@@ -255,3 +255,39 @@ def absorption_time_reference(
     wait = dense_solve(system, [Fraction(1)] * len(unknown)) if unknown else []
     after = sum((w * wait[at[s]] for s, w in law.items() if s in at), Fraction(0))
     return 1 + before + after, Fraction(0)
+
+
+
+def pick_reference(weights: dict, u: int):
+    """The first key, in the dict's order, whose cumulative weight exceeds u / 2^64."""
+    cumulative = Fraction(0)
+    for key, w in weights.items():
+        cumulative += w
+        if Fraction(u, 2**64) < cumulative:
+            return key
+    raise ValueError("the weights sum to at most u / 2^64")
+
+
+def backward_product_reference(
+    prefix: list[dict[tuple[int, ...], Fraction]],
+    tail: dict[tuple[int, ...], Fraction],
+    depth: int,
+    state: int,
+) -> tuple[tuple[int, ...], int | None]:
+    """(product, absorbed_at) of one trial, drawing all `depth` factors from `state`.
+
+    Factor m is picked from prefix[m] while m < len(prefix) and from the tail
+    after that, one stream output each; the product grows on the right.
+    absorbed_at is the first t at which every atom of every stage after the
+    t-th leaves the product of the first t factors fixed, None if no t up to
+    `depth` does.
+    """
+    product: tuple[int, ...] = ()
+    absorbed_at = None
+    for m, u in enumerate(splitmix64_reference(state, depth)):
+        image = pick_reference(prefix[m] if m < len(prefix) else tail, u)
+        product = compose_images(product, image) if product else image
+        later = set(tail).union(*prefix[m + 1 :])
+        if absorbed_at is None and all(compose_images(product, f) == product for f in later):
+            absorbed_at = m + 1
+    return product, absorbed_at

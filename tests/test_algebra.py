@@ -27,7 +27,9 @@ from tsl import (
     power_orbit_intersection,
 )
 
-from helpers import CLOSURE_IMAGES, GEN_A, GEN_B, THREE
+import tsl.algebra
+
+from helpers import CLOSURE_IMAGES, GEN_A, GEN_B, THREE, count_calls
 
 
 @pytest.fixture(scope="module")
@@ -90,16 +92,35 @@ def test_full_monoid_on_two_points_closes_at_four():
     assert sg.size == 4
 
 
+# generators of the full transformation monoid on six states (46,656 maps)
+SIX = StateSpace.of_size(6)
+FULL_SIX_GENERATORS = [
+    TransformationElement((1, 2, 3, 4, 5, 0)),
+    TransformationElement((1, 0, 2, 3, 4, 5)),
+    TransformationElement((0, 0, 2, 3, 4, 5)),
+]
+
+
 def test_generate_closure_capacity_guard():
-    space = StateSpace.of_size(6)
-    gens = [
-        TransformationElement((1, 2, 3, 4, 5, 0)),
-        TransformationElement((1, 0, 2, 3, 4, 5)),
-        TransformationElement((0, 0, 2, 3, 4, 5)),
-    ]
     with pytest.raises(CapacityError) as exc:
-        generate_closure(space, gens, cap=100)
+        generate_closure(SIX, FULL_SIX_GENERATORS, cap=100)
     assert exc.value.cap == 100
+    assert str(exc.value) == "closure exceeded the cap of 100 elements"
+
+
+def test_generate_closure_stops_at_the_first_product_past_the_cap(monkeypatch):
+    calls = count_calls(monkeypatch, tsl.algebra, "compose")
+    with pytest.raises(CapacityError):
+        generate_closure(SIX, FULL_SIX_GENERATORS, cap=100)
+    # the first two rounds compose all 3^2 and 10^2 pairs; the cap stops the
+    # third, over 50 elements, at the first product that makes 101
+    seen = set(FULL_SIX_GENERATORS)
+    for count, (a, b) in enumerate(calls, 1):
+        seen.add(compose(a, b))
+        if len(seen) > 100:
+            break
+    assert count == len(calls)
+    assert len(calls) < 3**2 + 10**2 + 50**2
 
 
 def test_power_core_is_whole_closure(closure):

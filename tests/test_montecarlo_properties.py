@@ -1,0 +1,101 @@
+"""Randomized checks of the Monte Carlo trial kernel against the definitions."""
+
+from __future__ import annotations
+
+from hypothesis import example, given, strategies as st
+
+from tsl import (
+    NoiseSpec,
+    ProbMeasure,
+    SimConfig,
+    SplitMix64,
+    coupling_samples,
+    estimate_law,
+    simulate_paths,
+    state_carrier,
+    trial_stream,
+)
+from tsl.montecarlo import GAMMA, _Compiled, _skip_to_window_end
+from tsl.solver import Origin, SolutionLawFamily
+
+from oracles import backward_product_reference, pick_reference, splitmix64_reference
+from test_measures_properties import COMMON, _absorption_case, measure_batch
+
+TRIALS = 6
+MASK = (1 << 64) - 1
+
+noises = st.integers(1, 3).flatmap(
+    lambda count: measure_batch(count, state_count=1, max_states=3)
+)
+depths = st.integers(1, 10)
+seeds = st.integers(0, (1 << 64) - 1)
+
+
+def _images(m: ProbMeasure) -> dict:
+    return {e.image: w for e, w in m.atoms}
+
+
+def _entry(space, states) -> ProbMeasure:
+    return states[0] if states else ProbMeasure.point(state_carrier(space), 0)
+
+
+@COMMON
+@given(noises, depths, seeds)
+# a first factor that the tail fixes but the next prefix factor does not
+@example(_absorption_case(2, {(0, 1): 1}, {(1, 0): 1}, {(0, 0): "1/2", (1, 1): "1/2"}), 3, 1)
+# a four-product closed class that the prefix steers around
+@example(_absorption_case(3, {(2, 1, 2): "1/2", (2, 2, 1): "1/2"}, {(2, 1, 1): 1}), 6, 1)
+# a permutation walk: nothing is ever absorbed, every factor is drawn
+@example(_absorption_case(3, {(1, 0, 2): 1}), 5, 2)
+def test_trial_kernel_matches_the_full_draw_reference(batch, depth, seed):
+    space, (tail, *prefix), states = batch
+    noise = NoiseSpec(tail, tuple(prefix))
+    comp = _Compiled(noise)
+    run_trial = comp.trial_kernel(depth)
+    prefix_images, tail_images = [_images(m) for m in prefix], _images(tail)
+    entry = _entry(space, states)
+    family = SolutionLawFamily(((0, entry),), (entry,), Origin("extremal"))
+    couplings = list(coupling_samples(noise, family, family, SimConfig(depth, TRIALS, seed)))
+    for trial in range(TRIALS):
+        rng = trial_stream(seed, trial)
+        start = rng.state
+        product, absorbed_at = backward_product_reference(
+            prefix_images, tail_images, depth, start
+        )
+        draws = splitmix64_reference(start, depth + 2)
+
+        pid, got_at = run_trial(rng)
+        assert comp.elements[pid].image == product
+        assert got_at == absorbed_at
+        # drawing stops right after the absorbing factor ...
+        stop = depth if absorbed_at is None else absorbed_at
+        assert SplitMix64(rng.state).next_u64() == draws[stop]
+        # ... and the skip leaves the stream where all depth draws would
+        _skip_to_window_end(rng, depth, got_at)
+        assert [rng.next_u64() for _ in range(2)] == draws[depth:]
+
+        x1, x2 = (pick_reference(dict(entry.atoms), u) for u in draws[depth:])
+        assert couplings[trial].entry_first == x1
+        assert couplings[trial].entry_second == x2
+        assert couplings[trial].final_first == product[x1]
+        assert couplings[trial].final_second == product[x2]
+
+        # the state observable, run on this trial's stream alone: trial t
+        # under seed s reads the stream of trial 0 under seed s + t * GAMMA
+        alone = SimConfig(depth, 1, (seed + trial * GAMMA) & MASK)
+        state_law = estimate_law(noise, alone, "state", entry)
+        assert state_law.count(product[x1]) == 1
+
+
+@COMMON
+@given(noises, depths, seeds)
+@example(_absorption_case(2, {(1, 0): 1}, {(1, 0): "3/4", (0, 0): "1/4"}, {(0, 1): 1}), 4, 3)
+def test_paths_and_kernel_share_one_absorption_time(batch, depth, seed):
+    _, (tail, *prefix), _ = batch
+    noise = NoiseSpec(tail, tuple(prefix))
+    comp = _Compiled(noise)
+    run_trial = comp.trial_kernel(depth)
+    for sample in simulate_paths(noise, SimConfig(depth, TRIALS, seed)):
+        pid, absorbed_at = run_trial(trial_stream(seed, sample.trial))
+        assert sample.absorbed_at == absorbed_at
+        assert sample.products[-1] == comp.elements[pid]
