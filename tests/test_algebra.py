@@ -119,6 +119,8 @@ def test_generate_closure_stops_at_the_first_product_past_the_cap(monkeypatch):
         seen.add(compose(a, b))
         if len(seen) > 100:
             break
+    else:
+        pytest.fail("the composed products never exceed the cap")
     assert count == len(calls)
     assert len(calls) < 3**2 + 10**2 + 50**2
 
