@@ -35,7 +35,6 @@ from .algebra import (
     TransformationElement,
     classify_elements,
     core_orbit,
-    generate_closure,
     is_left_cancellative,
     power_core,
 )
@@ -68,8 +67,6 @@ __all__ = [
     "compile_problem",
     "main",
 ]
-
-CLOSURE_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -304,13 +301,10 @@ def _guard_closure(compiled: CompiledProblem) -> FiniteSemigroup:
     Must run before any chain or simulation work: the product chain and the
     Cayley table are quadratic in the closure size, so an oversized closure
     has to fail fast with a capacity error instead of exhausting memory.
-    Returns the closure, so a caller that needs it does not build it again.
+    The closure is `NoiseSpec.closure`, capped at `measures.CLOSURE_CAP`;
+    every later step of the command reads that same one.
     """
-    return generate_closure(
-        compiled.context.space,
-        compiled.noise.support_elements(),
-        cap=CLOSURE_CAP,
-    )
+    return compiled.noise.closure
 
 
 def _frac(x: Fraction) -> str:
@@ -346,12 +340,12 @@ def _family_json(compiled: CompiledProblem, entry: int, fam) -> dict:
 
 def _analysis_payload(
     compiled: CompiledProblem,
-    closure: FiniteSemigroup,
     report: ClassificationReport,
     window: int,
     cap: int,
 ) -> dict:
     noise = compiled.noise
+    closure = noise.closure
     assert closure.elements is not None
     kinds = classify_elements(closure)
     powers, core = power_core(closure)
@@ -563,16 +557,14 @@ def _json_dump(payload: dict) -> str:
 
 def _cmd_analyze(args) -> int:
     compiled = _load(args.spec)
-    closure = _guard_closure(compiled)
+    _guard_closure(compiled)
     report = classify(
         compiled.noise,
         compiled.context,
         window=args.window,
         subgroup_cap=args.subgroup_cap,
     )
-    payload = _analysis_payload(
-        compiled, closure, report, args.window, args.subgroup_cap
-    )
+    payload = _analysis_payload(compiled, report, args.window, args.subgroup_cap)
     if args.json:
         sys.stdout.write(_json_dump(payload))
     else:
@@ -583,14 +575,14 @@ def _cmd_analyze(args) -> int:
 def _simulation_rows(compiled: CompiledProblem, cfg: SimConfig) -> list[tuple[str, str, str, str]]:
     noise = compiled.noise
     estimate = estimate_law(noise, cfg, "product")
-    exact = exact_product_law(noise, cfg.depth)
+    exact = dict(exact_product_law(noise, cfg.depth).atoms)
     rows = []
     for key, _count, freq, stderr in estimate.atoms:
         assert isinstance(key, TransformationElement)
         rows.append(
             (
                 f"product:{compiled.element_label(key)}",
-                _frac(exact.weight(key)),
+                _frac(exact.get(key, Fraction(0))),
                 _fmt(freq),
                 _fmt(stderr),
             )

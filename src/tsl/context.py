@@ -48,12 +48,11 @@ class ActionContext:
         """The semigroup that subgroup searches range over."""
         if self.is_group:
             assert self.group_elements is not None
-            sg = generate_closure(self.space, list(self.group_elements))
-            if cap is not None and sg.size > cap:
+            if cap is not None and len(self.group_elements) > cap:
                 raise UnsupportedCaseError(
-                    f"group of order {sg.size} exceeds the cap of {cap}"
+                    f"group of order {len(self.group_elements)} exceeds the cap of {cap}"
                 )
-            return sg
+            return generate_closure(self.space, list(self.group_elements))
         return full_transformation_monoid(self.space, cap=cap)
 
     def state_product(self, x: int, g: int) -> int:

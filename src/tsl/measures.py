@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Iterable, Literal, Mapping, Optional, Sequence, Union
 
@@ -25,6 +26,7 @@ from .algebra import (
     TransformationElement,
     compose,
     find_subgroups,
+    generate_closure,
 )
 from .context import ActionContext
 from .errors import (
@@ -54,6 +56,9 @@ __all__ = [
 ]
 
 MeasureKey = Union[TransformationElement, int]
+
+# The largest noise closure any analysis or simulation will build.
+CLOSURE_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -274,6 +279,11 @@ class NoiseSpec:
         for m in self.prefix:
             seen.update(m.support)
         return tuple(sorted(seen))
+
+    @cached_property
+    def closure(self) -> FiniteSemigroup:
+        """The closure of the support, built once; CapacityError past CLOSURE_CAP."""
+        return generate_closure(self.space, self.support_elements(), cap=CLOSURE_CAP)
 
     def is_iid(self) -> bool:
         return all(m == self.tail for m in self.prefix)

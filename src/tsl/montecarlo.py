@@ -23,20 +23,20 @@ form at three sigma.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import sqrt
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
-from .algebra import TransformationElement, generate_closure
+from .algebra import TransformationElement
 from .errors import CarrierMismatchError, InternalInconsistencyError
 from .measures import (
     NoiseSpec,
     ProbMeasure,
     act,
     closed_classes,
-    convolve,
     solve_linear,
     state_carrier,
     transient_system,
@@ -148,27 +148,30 @@ class _Stage(NamedTuple):
 class _Compiled:
     """Integer tables for one noise spec: ids, products, actions, absorption.
 
-    ``stages[m]`` is the draw of the factor at time -m for m below the
-    prefix length; the last entry serves every later time, from the tail.
+    Ids index `NoiseSpec.closure`, built once per spec.  ``stages[m]`` is the
+    draw of the factor at time -m for m below the prefix length, and
+    ``atoms[m]`` its law as (id, weight) pairs; the last entries serve every
+    later time, from the tail.
     """
 
     def __init__(self, noise: NoiseSpec):
-        self.noise = noise
-        closure = generate_closure(noise.space, noise.support_elements())
+        closure = noise.closure
         assert closure.elements is not None
         self.elements = closure.elements
-        self.index = {e: i for i, e in enumerate(self.elements)}
         self.cayley = closure.cayley
         self.action = tuple(e.image for e in self.elements)
         self.prefix_len = plen = noise.prefix_length
-        measures = (*noise.prefix, noise.tail)
-        ids = [[self.index[e] for e, _ in mu.atoms] for mu in measures]
+        self.atoms = [
+            [(closure.element_index[e], w) for e, w in mu.atoms]
+            for mu in (*noise.prefix, noise.tail)
+        ]
         stages = []
         later: set = set()  # ids of every factor after stage m, the tail's included
         for m in range(plen, -1, -1):
-            later.update(ids[min(m + 1, plen)])
-            breaks = _Sampler([w for _, w in measures[m].atoms]).breaks
-            stages.append(_Stage(breaks, ids[m], self._absorbing_set(later)))
+            later.update(i for i, _ in self.atoms[min(m + 1, plen)])
+            breaks = _Sampler([w for _, w in self.atoms[m]]).breaks
+            ids = [i for i, _ in self.atoms[m]]
+            stages.append(_Stage(breaks, ids, self._absorbing_set(later)))
         self.stages = stages[::-1]
 
     def _absorbing_set(self, factor_ids: set) -> frozenset:
@@ -181,6 +184,20 @@ class _Compiled:
     def plan(self, depth: int) -> list[_Stage]:
         """The stages of the factors for k = 0, -1, ..., -depth+1, in draw order."""
         return [self.stages[min(m, self.prefix_len)] for m in range(depth)]
+
+    def step(self, law: dict[int, Fraction], atoms: list) -> dict[int, Fraction]:
+        """Exact law after one more factor, multiplied on the right, from `atoms`."""
+        out: dict[int, Fraction] = {}
+        for p, w in law.items():
+            row = self.cayley[p]
+            for f, wf in atoms:
+                out[row[f]] = out.get(row[f], Fraction(0)) + w * wf
+        return out
+
+    def product_laws(self, depth: int) -> Iterator[dict[int, Fraction]]:
+        """Exact laws of the products of the first t factors, t = 1..depth."""
+        first, *later = (self.atoms[min(m, self.prefix_len)] for m in range(depth))
+        return accumulate(later, self.step, initial=dict(first))
 
     def trial_kernel(
         self, depth: int
@@ -413,45 +430,24 @@ class StoppingTimeStats:
     infinite_mass: Fraction
 
 
-def _exact_absorption(
-    noise: NoiseSpec, comp: _Compiled
-) -> tuple[Optional[Fraction], Fraction]:
+def _exact_absorption(comp: _Compiled) -> tuple[Optional[Fraction], Fraction]:
     """Exact E[T] and P(T = infinity) for the generalized absorption time.
 
-    E[T] = sum over t >= 0 of P(T > t).  The prefix part is stepped law by
-    law; from the first all-tail time on, the remainder is the expected
-    absorption time of the homogeneous product chain, solved exactly via
-    the fundamental matrix on the transient states.  Under the tail, the
-    singleton closed classes of that chain are the absorbing products and
-    the larger ones are never left, so entering them means T = infinity.
+    E[T] = sum over t >= 0 of P(T > t).  Over the prefix, `product_laws`
+    steps the law of the product; from the first all-tail time on, the rest
+    is the expected absorption time of the homogeneous product chain, solved
+    exactly via the fundamental matrix on its transient states.  Under the
+    tail, singleton closed classes are the absorbing products and larger ones
+    are never left, so entering them means T = infinity.
     """
     m = len(comp.elements)
-    plen = noise.prefix_length
-    steps = max(plen, 1)
-    # law of the product after t factors, evolved from t = 1 to t = steps;
-    # head collects P(T > t) for t = 1..steps-1.
-    law = [Fraction(0)] * m
-    for e, w in noise.measure_at(0).atoms:
-        law[comp.index[e]] += w
+    # the laws after t = 1..steps factors; head is P(T > t) for t < steps
+    *earlier, law = comp.product_laws(max(comp.prefix_len, 1))
     head = Fraction(0)
-    for t in range(1, steps):
-        absorbing = comp.stages[t - 1].absorbing
-        head += sum((w for i, w in enumerate(law) if i not in absorbing), Fraction(0))
-        nxt = [Fraction(0)] * m
-        mu = noise.measure_at(-t)
-        for i, w in enumerate(law):
-            if w == 0:
-                continue
-            for e, we in mu.atoms:
-                nxt[comp.cayley[i][comp.index[e]]] += w * we
-        law = nxt
-    out: list[dict[int, Fraction]] = []
-    for i in range(m):
-        row: dict[int, Fraction] = {}
-        for f, (_, w) in zip(comp.stages[-1].ids, noise.tail.atoms):
-            t = comp.cayley[i][f]
-            row[t] = row.get(t, Fraction(0)) + w
-        out.append(row)
+    for stage, seen in zip(comp.stages, earlier):
+        head += sum(w for i, w in seen.items() if i not in stage.absorbing)
+    # one tail step from each product: the rows of the product chain
+    out = [comp.step({i: Fraction(1)}, comp.atoms[-1]) for i in range(m)]
     classes = closed_classes([sorted(row) for row in out])
     absorbing = {members[0] for members in classes if len(members) == 1}
     never = {v for members in classes if len(members) > 1 for v in members}
@@ -464,8 +460,8 @@ def _exact_absorption(
     )
     infinite = Fraction(0)
     total = Fraction(1) + head
-    for s, w in enumerate(law):
-        if w == 0 or s in absorbing:
+    for s, w in law.items():
+        if s in absorbing:
             continue
         if s in never:
             infinite += w
@@ -489,7 +485,7 @@ def stopping_time_stats(noise: NoiseSpec, cfg: SimConfig) -> StoppingTimeStats:
             unabsorbed += 1
         else:
             times.append(absorbed)
-    exact_mean, infinite = _exact_absorption(noise, comp)
+    exact_mean, infinite = _exact_absorption(comp)
     if times:
         mean = sum(times) / len(times)
         var = sum((t - mean) ** 2 for t in times) / len(times)
@@ -568,10 +564,11 @@ def exact_product_law(noise: NoiseSpec, depth: int) -> ProbMeasure:
     """Exact law of the product of the most recent `depth` factors."""
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    law = noise.measure_at(0)
-    for j in range(1, depth):
-        law = convolve(law, noise.measure_at(-j))
-    return law
+    comp = _Compiled(noise)
+    (law,) = deque(comp.product_laws(depth), maxlen=1)
+    return ProbMeasure.from_weights(
+        noise.carrier, {comp.elements[i]: w for i, w in law.items()}
+    )
 
 
 def exact_state_law(

@@ -84,6 +84,28 @@ def convolution_power(
     return law
 
 
+def stagewise_product_law(
+    prefix: list[dict[tuple[int, ...], Fraction]],
+    tail: dict[tuple[int, ...], Fraction],
+    depth: int,
+) -> dict[tuple[int, ...], Fraction]:
+    """Law of the product of the first `depth` factors, raw-dict arithmetic.
+
+    Factor m has law prefix[m] while m < len(prefix) and the tail after that;
+    the product grows on the right.
+    """
+    stages = [prefix[m] if m < len(prefix) else tail for m in range(depth)]
+    law = dict(stages[0])
+    for weights in stages[1:]:
+        nxt: dict[tuple[int, ...], Fraction] = {}
+        for img1, w1 in law.items():
+            for img2, w2 in weights.items():
+                key = compose_images(img1, img2)
+                nxt[key] = nxt.get(key, Fraction(0)) + w1 * w2
+        law = nxt
+    return law
+
+
 def apply_law(
     product_law: dict[tuple[int, ...], Fraction],
     entry_law: dict[int, Fraction],

@@ -19,7 +19,8 @@ from tsl import (
     serialize_spec,
 )
 
-import tsl.cli
+import tsl.context
+import tsl.measures
 
 from helpers import GEN_A, count_calls, run_cli, two_map_noise
 
@@ -287,10 +288,23 @@ def test_analyze_json_is_canonical_and_byte_stable(capsys, specs_dir):
 
 
 def test_analyze_builds_the_noise_closure_once(capsys, specs_dir, monkeypatch):
-    calls = count_calls(monkeypatch, tsl.cli, "generate_closure")
+    calls = count_calls(monkeypatch, tsl.measures, "generate_closure")
     rc, _, _ = run(capsys, ["analyze", str(specs_dir / "three_state.tsl")])
     assert rc == 0
     assert len(calls) == 1
+
+
+def test_analyze_refuses_an_over_cap_group_before_building_it(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "z100.tsl"
+    path.write_text("group Z 100\nnoise iid 0:1\n")
+    calls = count_calls(monkeypatch, tsl.context, "generate_closure")
+    rc, out, _ = run(capsys, ["analyze", str(path)])
+    assert rc == 0
+    assert (
+        "invariance subgroup: not searched "
+        "(group of order 100 exceeds the cap of 64)\n" in out
+    )
+    assert calls == []
 
 
 # cyc4-rank3: a 4-cycle and a rank-3 map on four states, uniform noise
@@ -390,6 +404,84 @@ def test_simulate_table_and_csv_are_frozen(capsys, specs_dir, tmp_path):
     rc, _, _ = run(capsys, argv)
     assert rc == 0
     assert target.read_bytes() == first
+
+
+def test_simulate_builds_the_noise_closure_once(capsys, specs_dir, monkeypatch):
+    calls = count_calls(monkeypatch, tsl.measures, "generate_closure")
+    argv = ["simulate", str(specs_dir / "three_state.tsl"), "--trials", "50"]
+    rc, _, _ = run(capsys, argv)
+    assert rc == 0
+    assert len(calls) == 1
+
+
+# two declared prefix laws, at 0 and -2, with the tail filling the gap at -1
+PREFIX_GAP_TEXT = THREE_STATE_TEXT + "noise at 0 s1:1/3 s2:2/3\nnoise at -2 s2:1\n"
+
+PREFIX_GAP_SIM = {
+    3: """\
+trials=300 depth=12 seed=3 rng=splitmix64
+atom             exact     empirical       stderr
+product:s1       0         0               0
+product:s2       0         0               0
+product:(1 1 3)  1/1536    0               0
+product:(1 2 1)  0         0               0
+product:(2 2 2)  1/6       0.163333333333  0.0213428798085
+product:(3 3 3)  853/1536  0.56            0.0286589136803
+product:(1 1 1)  71/256    0.276666666667  0.0258277771803
+T:mean           19/6      3.07            0.0837675354777
+""",
+    11: """\
+trials=300 depth=12 seed=11 rng=splitmix64
+atom             exact     empirical       stderr
+product:s1       0         0               0
+product:s2       0         0               0
+product:(1 1 3)  1/1536    0               0
+product:(1 2 1)  0         0               0
+product:(2 2 2)  1/6       0.166666666667  0.0215165741456
+product:(3 3 3)  853/1536  0.536666666667  0.0287897872839
+product:(1 1 1)  71/256    0.296666666667  0.0263726850836
+T:mean           19/6      3.08333333333   0.0849128093116
+""",
+}
+
+PREFIX_GAP_CSV = {
+    3: """\
+atom,exact,empirical,stderr
+product:s1,0,0,0
+product:s2,0,0,0
+product:(1 1 3),1/1536,0,0
+product:(1 2 1),0,0,0
+product:(2 2 2),1/6,0.163333333333,0.0213428798085
+product:(3 3 3),853/1536,0.56,0.0286589136803
+product:(1 1 1),71/256,0.276666666667,0.0258277771803
+T:mean,19/6,3.07,0.0837675354777
+""",
+    11: """\
+atom,exact,empirical,stderr
+product:s1,0,0,0
+product:s2,0,0,0
+product:(1 1 3),1/1536,0,0
+product:(1 2 1),0,0,0
+product:(2 2 2),1/6,0.166666666667,0.0215165741456
+product:(3 3 3),853/1536,0.536666666667,0.0287897872839
+product:(1 1 1),71/256,0.296666666667,0.0263726850836
+T:mean,19/6,3.08333333333,0.0849128093116
+""",
+}
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_simulate_with_a_gapped_prefix_is_frozen(capsys, tmp_path, seed):
+    path = tmp_path / "gap.tsl"
+    path.write_text(PREFIX_GAP_TEXT)
+    target = tmp_path / "rows.csv"
+    argv = ["simulate", str(path), "--depth", "12", "--trials", "300", "--seed", str(seed)]
+    rc, out, err = run(capsys, [*argv, "--csv", str(target)])
+    assert rc == 0
+    assert err == ""
+    assert out == PREFIX_GAP_SIM[seed] + f"csv written to {target}\n"
+    # csv.writer ends rows with CRLF
+    assert target.read_bytes() == PREFIX_GAP_CSV[seed].replace("\n", "\r\n").encode()
 
 
 GROUP_WALK_SIM = """\

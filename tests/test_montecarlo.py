@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from tsl import (
+    CapacityError,
     NoiseSpec,
     ProbMeasure,
     SimConfig,
@@ -16,6 +17,7 @@ from tsl import (
     compose,
     coupling_samples,
     deterministic_translate_families,
+    element_carrier,
     estimate_law,
     exact_product_law,
     exact_state_law,
@@ -27,7 +29,7 @@ from tsl import (
     within_three_sigma,
 )
 
-import tsl.montecarlo
+import tsl.measures
 
 from helpers import (
     THREE,
@@ -44,6 +46,7 @@ from oracles import (
     three_state_absorption_tail,
     three_state_expected_absorption,
 )
+from test_algebra import FULL_SIX_GENERATORS, SIX
 
 HALF = Fraction(1, 2)
 
@@ -311,9 +314,35 @@ def test_stopping_time_with_prefix_counts_the_remaining_factors():
 
 
 def test_stopping_time_stats_builds_one_closure(monkeypatch):
-    calls = count_calls(monkeypatch, tsl.montecarlo, "generate_closure")
+    calls = count_calls(monkeypatch, tsl.measures, "generate_closure")
     stopping_time_stats(half_noise(), SimConfig(depth=8, trials=10, seed=1))
     assert len(calls) == 1
+
+
+def test_one_noise_spec_builds_its_closure_once(monkeypatch):
+    calls = count_calls(monkeypatch, tsl.measures, "generate_closure")
+    prefix = [two_map_noise(Fraction(1, 3), Fraction(2, 3)).tail]
+    noise = two_map_noise(HALF, HALF, prefix=prefix)
+    cfg = SimConfig(depth=8, trials=10, seed=1)
+    estimate_law(noise, cfg)
+    stopping_time_stats(noise, cfg)
+    exact_product_law(noise, 8)
+    list(simulate_paths(noise, cfg))
+    assert len(calls) == 1
+
+
+def test_library_calls_stop_at_the_closure_cap():
+    noise = NoiseSpec(ProbMeasure.uniform(element_carrier(SIX), FULL_SIX_GENERATORS))
+    cfg = SimConfig(depth=4, trials=5, seed=1)
+    calls = [
+        lambda: estimate_law(noise, cfg),
+        lambda: stopping_time_stats(noise, cfg),
+        lambda: exact_product_law(noise, 4),
+    ]
+    for call in calls:
+        with pytest.raises(CapacityError) as exc:
+            call()
+        assert str(exc.value) == "closure exceeded the cap of 4096 elements"
 
 
 # ---------------------------------------------------------------- coupling

@@ -1,4 +1,5 @@
-"""Randomized checks of the Monte Carlo trial kernel against the definitions."""
+"""Randomized checks of the Monte Carlo trial kernel and the exact product
+laws against the definitions."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ from tsl import (
     SplitMix64,
     coupling_samples,
     estimate_law,
+    exact_product_law,
     simulate_paths,
     state_carrier,
     trial_stream,
@@ -18,7 +20,12 @@ from tsl import (
 from tsl.montecarlo import GAMMA, _Compiled, _skip_to_window_end
 from tsl.solver import Origin, SolutionLawFamily
 
-from oracles import backward_product_reference, pick_reference, splitmix64_reference
+from oracles import (
+    backward_product_reference,
+    pick_reference,
+    splitmix64_reference,
+    stagewise_product_law,
+)
 from test_measures_properties import COMMON, _absorption_case, measure_batch
 
 TRIALS = 6
@@ -99,3 +106,12 @@ def test_paths_and_kernel_share_one_absorption_time(batch, depth, seed):
         pid, absorbed_at = run_trial(trial_stream(seed, sample.trial))
         assert sample.absorbed_at == absorbed_at
         assert sample.products[-1] == comp.elements[pid]
+
+
+@COMMON
+@given(noises, depths)
+def test_exact_product_law_matches_the_stagewise_reference(batch, depth):
+    _, (tail, *prefix), _ = batch
+    noise = NoiseSpec(tail, tuple(prefix))
+    expected = stagewise_product_law([_images(m) for m in prefix], _images(tail), depth)
+    assert _images(exact_product_law(noise, depth)) == expected
