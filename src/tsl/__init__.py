@@ -1,10 +1,11 @@
 """Exact analysis of backward recursions driven by random finite maps.
 
 The layers, bottom up: `algebra` (finite transformation semigroups, cores,
-subgroups, cosets), `measures` (exact rational probability, convolution,
-the product chain and its limits), `solver` (solution families and the
-classification decision tree), `montecarlo` (reproducible simulation held
-against closed forms), `cli` (problem files, reports, CSV/JSON output).
+subgroups, cosets), `linear` (sparse exact solves checked by substitution),
+`measures` (exact rational probability, convolution, the product chain and
+its limits), `solver` (solution families and the classification decision
+tree), `montecarlo` (reproducible simulation held against closed forms),
+`cli` (problem files, reports, CSV/JSON output).
 """
 
 from .algebra import (

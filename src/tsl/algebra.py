@@ -196,6 +196,17 @@ class FiniteSemigroup:
         return tuple(i for i in range(self.size) if self.mul(i, i) == i)
 
     @cached_property
+    def power_sets(self) -> tuple[frozenset[int], ...]:
+        """The iteration of :func:`power_core`, run once per semigroup."""
+        everything = range(self.size)
+        powers = [frozenset(everything)]
+        while True:
+            nxt = frozenset(self.mul(a, b) for a in powers[-1] for b in everything)
+            if nxt == powers[-1]:
+                return tuple(powers)
+            powers.append(nxt)
+
+    @cached_property
     def identity_id(self) -> Optional[int]:
         for e in range(self.size):
             if all(self.mul(e, x) == x and self.mul(x, e) == x for x in range(self.size)):
@@ -286,16 +297,7 @@ def power_core(sg: FiniteSemigroup) -> tuple[tuple[frozenset[int], ...], frozens
     next = current * (whole semigroup).  The core is itself closed under
     the product, which callers may rely on.
     """
-    everything = tuple(range(sg.size))
-    current = frozenset(everything)
-    powers = [current]
-    while True:
-        nxt = frozenset(sg.mul(a, b) for a in current for b in everything)
-        if nxt == current:
-            break
-        powers.append(nxt)
-        current = nxt
-    return tuple(powers), current
+    return sg.power_sets, sg.power_sets[-1]
 
 
 def core_orbit(sg: FiniteSemigroup) -> frozenset[int]:

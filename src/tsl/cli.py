@@ -54,6 +54,7 @@ from .montecarlo import (
 )
 from .solver import (
     ClassificationReport,
+    FourierReport,
     classify,
     fourier_trichotomy,
     stationary_law,
@@ -298,11 +299,8 @@ def _load(path: str) -> CompiledProblem:
 def _guard_closure(compiled: CompiledProblem) -> FiniteSemigroup:
     """Refuse early when the noise closure is beyond desk scale.
 
-    Must run before any chain or simulation work: the product chain and the
-    Cayley table are quadratic in the closure size, so an oversized closure
-    has to fail fast with a capacity error instead of exhausting memory.
     The closure is `NoiseSpec.closure`, capped at `measures.CLOSURE_CAP`;
-    every later step of the command reads that same one.
+    the chain, the exact laws and the samplers all read that same one.
     """
     return compiled.noise.closure
 
@@ -335,6 +333,17 @@ def _family_json(compiled: CompiledProblem, entry: int, fam) -> dict:
             str(k): _measure_json(compiled, law) for k, law in fam.window
         },
         "tail_cycle": [_measure_json(compiled, m) for m in fam.tail_cycle],
+    }
+
+
+def _fourier_json(four: FourierReport) -> dict:
+    return {
+        "modulus": four.modulus,
+        "pi": list(four.pi),
+        "z_mu": list(four.z_mu),
+        "p_mu": four.p_mu,
+        "h_mu": list(four.h_mu),
+        "trichotomy": four.trichotomy,
     }
 
 
@@ -436,18 +445,8 @@ def _analysis_payload(
         }
     except MultiplicityError as exc:
         payload["stationary"] = {"law": None, "error": str(exc)}
-    if report.fourier is not None:
-        four = report.fourier
-        payload["fourier"] = {
-            "modulus": four.modulus,
-            "pi": list(four.pi),
-            "z_mu": list(four.z_mu),
-            "p_mu": four.p_mu,
-            "h_mu": list(four.h_mu),
-            "trichotomy": four.trichotomy,
-        }
-    else:
-        payload["fourier"] = None
+    four = report.fourier
+    payload["fourier"] = _fourier_json(four) if four is not None else None
     return payload
 
 
@@ -640,16 +639,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_fourier(args) -> int:
     compiled = _load(args.spec)
     four = fourier_trichotomy(compiled.noise, compiled.context)
-    payload = {
-        "modulus": four.modulus,
-        "pi": list(four.pi),
-        "z_mu": list(four.z_mu),
-        "p_mu": four.p_mu,
-        "h_mu": list(four.h_mu),
-        "trichotomy": four.trichotomy,
-    }
     if args.json:
-        sys.stdout.write(_json_dump(payload))
+        sys.stdout.write(_json_dump(_fourier_json(four)))
     else:
         sys.stdout.write(
             f"modulus: {four.modulus}\n"
@@ -724,13 +715,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     try:
         return args.func(args)
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (UnsupportedCaseError, MultiplicityError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (SpecError, UnsupportedCaseError, MultiplicityError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except CapacityError as exc:

@@ -16,8 +16,9 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from math import gcd
-from typing import Iterable, Literal, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Literal, Mapping, Optional, Sequence, Union
 
 from .algebra import (
     FiniteSemigroup,
@@ -35,6 +36,7 @@ from .errors import (
     InternalInconsistencyError,
     UnsupportedCaseError,
 )
+from .linear import solve_linear
 
 __all__ = [
     "Carrier",
@@ -285,6 +287,32 @@ class NoiseSpec:
         """The closure of the support, built once; CapacityError past CLOSURE_CAP."""
         return generate_closure(self.space, self.support_elements(), cap=CLOSURE_CAP)
 
+    @cached_property
+    def atom_ids(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+        """Each prefix law, then the tail law, as (closure id, weight) pairs."""
+        index = self.closure.element_index
+        laws = (*self.prefix, self.tail)
+        return tuple(tuple((index[e], w) for e, w in mu.atoms) for mu in laws)
+
+    def step(self, law: Mapping[int, Fraction], atoms: Sequence) -> dict[int, Fraction]:
+        """Exact law after one more factor, multiplied on the right, from `atoms`."""
+        cayley = self.closure.cayley
+        out: dict[int, Fraction] = {}
+        for p, w in law.items():
+            row = cayley[p]
+            for f, wf in atoms:
+                out[row[f]] = out.get(row[f], Fraction(0)) + w * wf
+        return out
+
+    def product_laws(self, depth: int) -> Iterator[dict[int, Fraction]]:
+        """Exact laws of the products of the first t factors, t = 1..depth."""
+        first, *later = (self.atom_ids[min(m, self.prefix_length)] for m in range(depth))
+        return accumulate(later, self.step, initial=dict(first))
+
+    def tail_rows(self, products: Iterable[int]) -> list[dict[int, Fraction]]:
+        """One tail step from each product: its successors' ids and weights."""
+        return [self.step({p: Fraction(1)}, self.atom_ids[-1]) for p in products]
+
     def is_iid(self) -> bool:
         return all(m == self.tail for m in self.prefix)
 
@@ -303,93 +331,34 @@ class RecurrentClass:
 
 @dataclass(frozen=True)
 class ProductChain:
-    """Markov chain of running products over the tail support closure."""
+    """Markov chain of running products over the tail support closure.
+
+    ``rows[i]`` lists the (successor, weight) pairs of state i by successor;
+    ``transitions`` is the same matrix dense, built on first read.
+    """
 
     space: StateSpace
     states: tuple[TransformationElement, ...]
-    transitions: tuple[tuple[Fraction, ...], ...]
+    rows: tuple[tuple[tuple[int, Fraction], ...], ...]
     initial: tuple[Fraction, ...]
     recurrent_classes: tuple[RecurrentClass, ...]
     transient_ids: tuple[int, ...]
 
+    @cached_property
+    def transitions(self) -> tuple[tuple[Fraction, ...], ...]:
+        zero = Fraction(0)
+        columns = range(len(self.states))
+        return tuple(tuple(r.get(j, zero) for j in columns) for r in map(dict, self.rows))
+
+    @cached_property
+    def _positions(self) -> dict[TransformationElement, int]:
+        return {e: i for i, e in enumerate(self.states)}
+
     def state_index(self, e: TransformationElement) -> int:
-        return self.states.index(e)
-
-
-def solve_linear(
-    rows: Sequence[Mapping[int, Fraction]], rhss: Sequence[Sequence[Fraction]]
-) -> list[list[Fraction]]:
-    """Solve A x = b exactly for each b in ``rhss``; one elimination serves all.
-
-    ``rows[i]`` maps column j to A[i][j] and need only hold the non-zeros of
-    a square system over columns 0..n-1.  Columns are eliminated in order;
-    each one pivots on the remaining row with the fewest non-zeros, lowest
-    index on ties, which keeps the fill-in small on the sparse chain systems.
-    Raises ValueError on a singular system.  Every solution is checked by
-    substitution, and a failed check raises InternalInconsistencyError.
-    """
-    n = len(rows)
-    work = [{c: v for c, v in row.items() if v} for row in rows]
-    right = [[b[i] for b in rhss] for i in range(n)]
-    column_rows: list[set[int]] = [set() for _ in range(n)]
-    for r, row in enumerate(work):
-        for c in row:
-            column_rows[c].add(r)
-    pivots = []
-    for col in range(n):
-        candidates = column_rows[col]
-        if not candidates:
-            raise ValueError("singular linear system")
-        p = min(candidates, key=lambda r: (len(work[r]), r))
-        pivot = work[p]
-        for c in pivot:
-            column_rows[c].discard(p)
-        scale = pivot[col]
-        for c in pivot:
-            pivot[c] /= scale
-        right[p] = [b / scale for b in right[p]]
-        for r in list(candidates):
-            row = work[r]
-            f = row.pop(col)
-            for c, v in pivot.items():
-                if c == col:
-                    continue
-                old = row.get(c)
-                if old is None:
-                    row[c] = -f * v
-                    column_rows[c].add(r)
-                else:
-                    value = old - f * v
-                    if value:
-                        row[c] = value
-                    else:
-                        del row[c]
-                        column_rows[c].discard(r)
-            right[r] = [b - f * bp for b, bp in zip(right[r], right[p])]
-        candidates.clear()
-        pivots.append(p)
-    solutions = [[Fraction(0)] * n for _ in rhss]
-    for col in range(n - 1, -1, -1):
-        p = pivots[col]
-        terms = [(c, v) for c, v in work[p].items() if c != col]
-        for x, b in zip(solutions, right[p]):
-            x[col] = b - sum((v * x[c] for c, v in terms), Fraction(0))
-    _check_substitution(rows, rhss, solutions)
-    return solutions
-
-
-def _check_substitution(
-    rows: Sequence[Mapping[int, Fraction]],
-    rhss: Sequence[Sequence[Fraction]],
-    solutions: Sequence[Sequence[Fraction]],
-) -> None:
-    """Raise InternalInconsistencyError unless A x == b holds exactly for each pair."""
-    for b, x in zip(rhss, solutions):
-        for i, row in enumerate(rows):
-            if sum((v * x[c] for c, v in row.items()), Fraction(0)) != b[i]:
-                raise InternalInconsistencyError(
-                    f"linear solve fails substitution at row {i}"
-                )
+        try:
+            return self._positions[e]
+        except KeyError:
+            raise ValueError(f"{e!r} is not a state of the chain") from None
 
 
 def _strongly_connected_components(succ: Sequence[Iterable[int]]) -> list[list[int]]:
@@ -484,44 +453,32 @@ def build_product_chain(noise: NoiseSpec) -> ProductChain:
 
     States are the products reachable from the tail support under right
     multiplication by the tail support, in breadth-first image-lex order.
+    The search steps closure ids with `NoiseSpec.tail_rows`, so a closure
+    past CLOSURE_CAP raises CapacityError.
     Transitions, absorption probabilities and per-class stationary laws are
     exact rationals.
     """
-    tail = noise.tail
-    seeds = sorted(tail.support, key=lambda e: e.image)
-    states: list[TransformationElement] = []
-    index: dict[TransformationElement, int] = {}
-    for e in seeds:
-        index[e] = len(states)
-        states.append(e)
-    frontier = list(states)
-    while frontier:
-        fresh = set()
-        for s in frontier:
-            for t in tail.support:
-                p = compose(s, t)
-                if p not in index and p not in fresh:
-                    fresh.add(p)
-        frontier = sorted(fresh, key=lambda e: e.image)
-        for p in frontier:
+    element = noise.closure.element
+    states = sorted((f for f, _ in noise.atom_ids[-1]), key=element)
+    index = {p: j for j, p in enumerate(states)}
+    id_rows: list[dict[int, Fraction]] = []  # the rows of states[:len(id_rows)]
+    while len(id_rows) < len(states):
+        level = noise.tail_rows(states[len(id_rows):])
+        id_rows.extend(level)
+        fresh = {q for row in level for q in row if q not in index}
+        for p in sorted(fresh, key=element):
             index[p] = len(states)
             states.append(p)
     n = len(states)
-    out: list[dict[int, Fraction]] = []
-    for s in states:
-        row: dict[int, Fraction] = {}
-        for t, w in tail.atoms:
-            j = index[compose(s, t)]
-            row[j] = row.get(j, Fraction(0)) + w
-        out.append(row)
+    out = [{index[q]: w for q, w in row.items()} for row in id_rows]
     succ = [sorted(row) for row in out]
     recurrent_sets = closed_classes(succ)
     recurrent_ids = {v for comp in recurrent_sets for v in comp}
     transient = tuple(i for i in range(n) if i not in recurrent_ids)
 
     initial = [Fraction(0)] * n
-    for t, w in tail.atoms:
-        initial[index[t]] += w
+    for f, w in noise.atom_ids[-1]:
+        initial[index[f]] += w
 
     absorptions = _absorption_probabilities(out, transient, recurrent_sets, initial)
     classes = []
@@ -534,10 +491,9 @@ def build_product_chain(noise: NoiseSpec) -> ProductChain:
         raise InternalInconsistencyError(
             f"absorption probabilities sum to {total}, expected 1"
         )
-    zero = Fraction(0)
-    transitions = tuple(tuple(row.get(j, zero) for j in range(n)) for row in out)
     return ProductChain(
-        noise.space, tuple(states), transitions, tuple(initial),
+        noise.space, tuple(map(element, states)),
+        tuple(tuple(sorted(row.items())) for row in out), tuple(initial),
         tuple(classes), transient,
     )
 

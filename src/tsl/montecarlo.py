@@ -32,12 +32,12 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .algebra import TransformationElement
 from .errors import CarrierMismatchError, InternalInconsistencyError
+from .linear import solve_linear
 from .measures import (
     NoiseSpec,
     ProbMeasure,
     act,
     closed_classes,
-    solve_linear,
     state_carrier,
     transient_system,
 )
@@ -146,31 +146,28 @@ class _Stage(NamedTuple):
 
 
 class _Compiled:
-    """Integer tables for one noise spec: ids, products, actions, absorption.
+    """Sampling tables for one noise spec: stages, products, actions.
 
     Ids index `NoiseSpec.closure`, built once per spec.  ``stages[m]`` is the
-    draw of the factor at time -m for m below the prefix length, and
-    ``atoms[m]`` its law as (id, weight) pairs; the last entries serve every
-    later time, from the tail.
+    draw of the factor at time -m for m below the prefix length; the last
+    stage serves every later time, from the tail.  Exact laws are stepped by
+    `NoiseSpec.step` instead.
     """
 
     def __init__(self, noise: NoiseSpec):
+        self.noise = noise
         closure = noise.closure
         assert closure.elements is not None
         self.elements = closure.elements
         self.cayley = closure.cayley
         self.action = tuple(e.image for e in self.elements)
         self.prefix_len = plen = noise.prefix_length
-        self.atoms = [
-            [(closure.element_index[e], w) for e, w in mu.atoms]
-            for mu in (*noise.prefix, noise.tail)
-        ]
         stages = []
         later: set = set()  # ids of every factor after stage m, the tail's included
         for m in range(plen, -1, -1):
-            later.update(i for i, _ in self.atoms[min(m + 1, plen)])
-            breaks = _Sampler([w for _, w in self.atoms[m]]).breaks
-            ids = [i for i, _ in self.atoms[m]]
+            later.update(i for i, _ in noise.atom_ids[min(m + 1, plen)])
+            breaks = _Sampler([w for _, w in noise.atom_ids[m]]).breaks
+            ids = [i for i, _ in noise.atom_ids[m]]
             stages.append(_Stage(breaks, ids, self._absorbing_set(later)))
         self.stages = stages[::-1]
 
@@ -184,20 +181,6 @@ class _Compiled:
     def plan(self, depth: int) -> list[_Stage]:
         """The stages of the factors for k = 0, -1, ..., -depth+1, in draw order."""
         return [self.stages[min(m, self.prefix_len)] for m in range(depth)]
-
-    def step(self, law: dict[int, Fraction], atoms: list) -> dict[int, Fraction]:
-        """Exact law after one more factor, multiplied on the right, from `atoms`."""
-        out: dict[int, Fraction] = {}
-        for p, w in law.items():
-            row = self.cayley[p]
-            for f, wf in atoms:
-                out[row[f]] = out.get(row[f], Fraction(0)) + w * wf
-        return out
-
-    def product_laws(self, depth: int) -> Iterator[dict[int, Fraction]]:
-        """Exact laws of the products of the first t factors, t = 1..depth."""
-        first, *later = (self.atoms[min(m, self.prefix_len)] for m in range(depth))
-        return accumulate(later, self.step, initial=dict(first))
 
     def trial_kernel(
         self, depth: int
@@ -442,12 +425,12 @@ def _exact_absorption(comp: _Compiled) -> tuple[Optional[Fraction], Fraction]:
     """
     m = len(comp.elements)
     # the laws after t = 1..steps factors; head is P(T > t) for t < steps
-    *earlier, law = comp.product_laws(max(comp.prefix_len, 1))
+    *earlier, law = comp.noise.product_laws(max(comp.prefix_len, 1))
     head = Fraction(0)
     for stage, seen in zip(comp.stages, earlier):
         head += sum(w for i, w in seen.items() if i not in stage.absorbing)
     # one tail step from each product: the rows of the product chain
-    out = [comp.step({i: Fraction(1)}, comp.atoms[-1]) for i in range(m)]
+    out = comp.noise.tail_rows(range(m))
     classes = closed_classes([sorted(row) for row in out])
     absorbing = {members[0] for members in classes if len(members) == 1}
     never = {v for members in classes if len(members) > 1 for v in members}
@@ -564,11 +547,9 @@ def exact_product_law(noise: NoiseSpec, depth: int) -> ProbMeasure:
     """Exact law of the product of the most recent `depth` factors."""
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    comp = _Compiled(noise)
-    (law,) = deque(comp.product_laws(depth), maxlen=1)
-    return ProbMeasure.from_weights(
-        noise.carrier, {comp.elements[i]: w for i, w in law.items()}
-    )
+    (law,) = deque(noise.product_laws(depth), maxlen=1)
+    element = noise.closure.element
+    return ProbMeasure.from_weights(noise.carrier, {element(i): w for i, w in law.items()})
 
 
 def exact_state_law(

@@ -40,7 +40,6 @@ from .measures import (
     ProbMeasure,
     act,
     closed_classes,
-    convolve,
     limit_analysis,
     mix,
     state_carrier,
@@ -525,30 +524,31 @@ def strongness_witness(
     at 0 is a.s. a function of the window noise at this depth; a residual
     that is small and still shrinking as the depth doubles is reported as a
     positive hint.  This is evidence, not a proof; `classify` is the
-    authority.
+    authority.  Laws are stepped on closure ids, so a closure past
+    CLOSURE_CAP raises CapacityError, as does a step past `budget`.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
     checkpoints = sorted({max(1, depth // 2), depth})
     results = []
-    law = noise.measure_at(0)
+    law = dict(noise.atom_ids[0])
     for l in range(1, depth + 1):
         if l > 1:
-            nxt = noise.measure_at(-(l - 1))
-            if len(law.support) * len(nxt.support) > budget:
+            atoms = noise.atom_ids[min(l - 1, noise.prefix_length)]
+            if len(law) * len(atoms) > budget:
                 raise CapacityError(
                     f"product support would exceed the budget at depth {l}",
                     cap=budget,
                 )
-            law = convolve(law, nxt)
+            law = noise.step(law, atoms)
         if l in checkpoints:
             entry = family.law_at(-l)
             residual = Fraction(0)
-            for prod, w in law.atoms:
-                assert isinstance(prod, TransformationElement)
+            for p, w in law.items():
+                image = noise.closure.element(p).image
                 cond: dict[int, Fraction] = {}
                 for x, wx in entry.atoms:
-                    y = prod.image[x]
+                    y = image[x]
                     cond[y] = cond.get(y, Fraction(0)) + wx
                 residual += w * (1 - max(cond.values()))
             results.append((l, residual))

@@ -3,13 +3,17 @@
 Everything here is written straight from the defining formulas, avoiding the
 library's own code paths, so that agreement between the two is meaningful.
 The brute-force Fourier oracle below predates the library's integer-test
-implementation and stays the authority the tests defer to.
+implementation and stays the authority the tests defer to.  The one exception
+is `strongness_residuals_reference`, which keeps the object-level `convolve`
+chain that the library's integer stepping replaced.
 """
 
 from __future__ import annotations
 
 import cmath
 from fractions import Fraction
+
+from tsl import CapacityError, convolve
 
 _M64 = (1 << 64) - 1
 _TOL = 1e-9
@@ -104,6 +108,67 @@ def stagewise_product_law(
                 nxt[key] = nxt.get(key, Fraction(0)) + w1 * w2
         law = nxt
     return law
+
+
+def product_chain_reference(
+    tail: dict[tuple[int, ...], Fraction],
+) -> tuple[list[tuple[int, ...]], list[dict[int, Fraction]], list[Fraction]]:
+    """(states, rows, initial) of the chain of running products under `tail`.
+
+    The breadth-first search over composed images: the states start with the
+    tail support in image order, and each level appends, in image order, the
+    products of the last level with a tail factor on the right that are not
+    states yet.  rows[i] maps each successor of state i to its weight, and
+    initial puts each tail weight on its state.
+    """
+    states = sorted(tail)
+    index = {s: i for i, s in enumerate(states)}
+    frontier = list(states)
+    while frontier:
+        fresh = {compose_images(s, t) for s in frontier for t in tail} - index.keys()
+        frontier = sorted(fresh)
+        for p in frontier:
+            index[p] = len(states)
+            states.append(p)
+    rows = []
+    for s in states:
+        row: dict[int, Fraction] = {}
+        for t, w in tail.items():
+            j = index[compose_images(s, t)]
+            row[j] = row.get(j, Fraction(0)) + w
+        rows.append(row)
+    return states, rows, [tail.get(s, Fraction(0)) for s in states]
+
+
+def strongness_residuals_reference(noise, family, depth: int, budget: int):
+    """The (depth, residual) checkpoints of a strongness witness, by `convolve`.
+
+    The law of the product of the first l noises is convolved one factor at a
+    time; before each convolution the product of the two support sizes is held
+    against `budget`.  At l = max(1, depth // 2) and l = depth the residual is
+    the expected mass that the product, applied to the family's law at -l,
+    leaves outside its most likely state.
+    """
+    checkpoints = {max(1, depth // 2), depth}
+    law = noise.measure_at(0)
+    out = []
+    for l in range(1, depth + 1):
+        if l > 1:
+            nxt = noise.measure_at(-(l - 1))
+            if len(law.support) * len(nxt.support) > budget:
+                raise CapacityError(
+                    f"product support would exceed the budget at depth {l}", cap=budget
+                )
+            law = convolve(law, nxt)
+        if l in checkpoints:
+            residual = Fraction(0)
+            for prod, w in law.atoms:
+                cond: dict[int, Fraction] = {}
+                for x, wx in family.law_at(-l).atoms:
+                    cond[prod.image[x]] = cond.get(prod.image[x], Fraction(0)) + wx
+                residual += w * (1 - max(cond.values()))
+            out.append((l, residual))
+    return tuple(out)
 
 
 def apply_law(

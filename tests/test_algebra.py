@@ -8,6 +8,7 @@ from tsl import (
     AmbiguityError,
     CapacityError,
     DimensionError,
+    FiniteSemigroup,
     StateSpace,
     SubgroupDescriptor,
     TransformationElement,
@@ -169,6 +170,18 @@ def test_core_orbit_agrees_with_power_orbit_intersection(closure):
     assert core_orbit(closure) == power_orbit_intersection(closure)
     single = generate_closure(THREE, [TransformationElement((1, 2, 2))])
     assert core_orbit(single) == power_orbit_intersection(single)
+
+
+def test_power_iteration_runs_once_per_semigroup(monkeypatch):
+    sg = generate_closure(THREE, [GEN_A, GEN_B])
+    calls = count_calls(monkeypatch, FiniteSemigroup, "mul")
+    powers, core = power_core(sg)
+    first = len(calls)
+    assert first > 0
+    # an analyze report reads the power sets, the core and the core orbit
+    assert core_orbit(sg) == power_orbit_intersection(sg)
+    assert power_core(sg) == (powers, core)
+    assert len(calls) == first
 
 
 def test_classification_of_the_two_map_closure(closure):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tsl.errors import InternalInconsistencyError
-from tsl.measures import _check_substitution, solve_linear
+from tsl.linear import _check_substitution, solve_linear
 
 from oracles import dense_solve
 

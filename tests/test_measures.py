@@ -221,6 +221,19 @@ def test_product_chain_of_the_generator_pair(half_noise):
     assert chain.transient_ids == (0, 1, 2, 3)
 
 
+def test_product_chain_keeps_sparse_rows(half_noise):
+    chain = build_product_chain(half_noise)
+    for row, dense in zip(chain.rows, chain.transitions, strict=True):
+        assert [j for j, _ in row] == [j for j, w in enumerate(dense) if w]
+        assert all(dense[j] == w for j, w in row)
+    again = build_product_chain(half_noise)
+    assert chain == again
+    assert hash(chain) == hash(again)
+    assert [chain.state_index(e) for e in chain.states] == list(range(len(chain.states)))
+    with pytest.raises(ValueError, match="not a state"):
+        chain.state_index(identity_element(THREE))
+
+
 def test_transition_rows_are_stochastic(half_noise):
     chain = build_product_chain(half_noise)
     for row in chain.transitions:

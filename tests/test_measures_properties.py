@@ -27,7 +27,12 @@ from tsl import (
 )
 
 from helpers import element_measure
-from oracles import absorption_time_reference, dense_absorption, dense_stationary
+from oracles import (
+    absorption_time_reference,
+    dense_absorption,
+    dense_stationary,
+    product_chain_reference,
+)
 
 COMMON = settings(max_examples=120, derandomize=True, deadline=None)
 
@@ -210,3 +215,17 @@ def test_absorption_time_matches_the_definition(batch):
     assert (stats.exact_mean, stats.infinite_mass) == absorption_time_reference(
         [images(m) for m in prefix], images(tail)
     )
+
+
+@COMMON
+@given(st.integers(1, 3).flatmap(lambda count: measure_batch(count, max_states=3)))
+# the prefix atom (2 1 1) sorts first, so the tail's closure ids start at 1
+@example(_absorption_case(3, {(2, 1, 2): "1/2", (2, 2, 1): "1/2"}, {(2, 1, 1): 1}))
+def test_product_chain_matches_the_object_level_search(batch):
+    # prefix stages widen the closure, so closure ids and chain positions differ
+    _, (tail, *prefix), _ = batch
+    chain = build_product_chain(NoiseSpec(tail, tuple(prefix)))
+    states, rows, initial = product_chain_reference({e.image: w for e, w in tail.atoms})
+    assert [s.image for s in chain.states] == states
+    assert [dict(row) for row in chain.rows] == rows
+    assert list(chain.initial) == initial

@@ -12,17 +12,22 @@ from tsl import (
     NoiseSpec,
     Origin,
     ProbMeasure,
+    SolutionLawFamily,
     StateSpace,
     UnsupportedCaseError,
     act,
+    build_product_chain,
     classify,
     cesaro_solutions,
     deterministic_translate_families,
+    element_carrier,
     extremal_solutions,
     fourier_trichotomy,
     joint_window_law,
+    limit_analysis,
     make_family,
     mixture_family,
+    semigroup_context,
     state_carrier,
     stationary_law,
     strongness_witness,
@@ -37,6 +42,7 @@ from oracles import (
     three_state_absorption_tail,
     three_state_stationary,
 )
+from test_algebra import FULL_SIX_GENERATORS, SIX
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -477,6 +483,21 @@ def test_witness_budget_guard():
     (_, fam), = extremal_solutions(noise, three_ctx())
     with pytest.raises(CapacityError):
         strongness_witness(noise, fam, depth=16, budget=4)
+
+
+def test_exact_analysis_stops_at_the_closure_cap():
+    noise = NoiseSpec(ProbMeasure.uniform(element_carrier(SIX), FULL_SIX_GENERATORS))
+    entry = ProbMeasure.uniform(state_carrier(SIX), range(6))
+    family = SolutionLawFamily(((0, entry),), (entry,), Origin("extremal"))
+    calls = [
+        lambda: build_product_chain(noise),
+        lambda: limit_analysis(noise, semigroup_context(SIX)),
+        lambda: strongness_witness(noise, family, depth=4),
+    ]
+    for call in calls:
+        with pytest.raises(CapacityError) as exc:
+            call()
+        assert str(exc.value) == "closure exceeded the cap of 4096 elements"
 
 
 # ---------------------------------------------------------------- joint law

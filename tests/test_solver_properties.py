@@ -4,12 +4,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from tsl import (
+    CapacityError,
     MultiplicityError,
     NoiseSpec,
+    Origin,
     ProbMeasure,
+    SolutionLawFamily,
     StateSpace,
     TransformationElement,
     act,
@@ -25,7 +29,8 @@ from tsl import (
 )
 
 from helpers import cyclic_noise
-from oracles import fourier_oracle
+from oracles import fourier_oracle, strongness_residuals_reference
+from test_measures_properties import measure_batch
 
 COMMON = settings(max_examples=120, derandomize=True, deadline=None)
 
@@ -206,3 +211,25 @@ def test_witness_reports_are_well_formed(data):
             # synchronizing limits leave nothing unpredictable eventually
             deeper = strongness_witness(noise, fam, depth=16)
             assert deeper.residual <= witness.residual
+
+
+@COMMON
+@given(
+    st.integers(1, 3).flatmap(lambda count: measure_batch(count, 1, max_states=3)),
+    st.integers(1, 8),
+    st.integers(1, 40),
+)
+def test_witness_matches_the_convolution_reference(batch, depth, budget):
+    _, (tail, *prefix), (entry,) = batch
+    noise = NoiseSpec(tail, tuple(prefix))
+    family = SolutionLawFamily(((0, entry),), (entry,), Origin("extremal"))
+    try:
+        expected = strongness_residuals_reference(noise, family, depth, budget)
+    except CapacityError as exc:
+        with pytest.raises(CapacityError) as got:
+            strongness_witness(noise, family, depth=depth, budget=budget)
+        assert str(got.value) == str(exc)
+        return
+    witness = strongness_witness(noise, family, depth=depth, budget=budget)
+    assert witness.depths == expected
+    assert witness.residual == expected[-1][1]
