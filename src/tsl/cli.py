@@ -48,7 +48,6 @@ from .errors import (
 from .measures import NoiseSpec, ProbMeasure, element_carrier
 from .montecarlo import (
     SimConfig,
-    estimate_law,
     exact_product_law,
     stopping_time_stats,
 )
@@ -573,10 +572,10 @@ def _cmd_analyze(args) -> int:
 
 def _simulation_rows(compiled: CompiledProblem, cfg: SimConfig) -> list[tuple[str, str, str, str]]:
     noise = compiled.noise
-    estimate = estimate_law(noise, cfg, "product")
+    stats = stopping_time_stats(noise, cfg)
     exact = dict(exact_product_law(noise, cfg.depth).atoms)
     rows = []
-    for key, _count, freq, stderr in estimate.atoms:
+    for key, _count, freq, stderr in stats.products.atoms:
         assert isinstance(key, TransformationElement)
         rows.append(
             (
@@ -586,7 +585,6 @@ def _simulation_rows(compiled: CompiledProblem, cfg: SimConfig) -> list[tuple[st
                 _fmt(stderr),
             )
         )
-    stats = stopping_time_stats(noise, cfg)
     if stats.exact_mean is not None:
         rows.append(
             (

@@ -14,10 +14,13 @@ still come: the remaining factors cannot change it.  Before any entry draw
 the stream is advanced in O(1) to where all depth noise draws would have
 left it (SplitMix64 adds GAMMA to its state per draw), so every result is
 the same as with all draws made.  `simulate_paths` still draws every
-factor, because it reports them.  Estimators report empirical frequencies
-with binomial standard errors; exact references for the same quantities
-come from the measure layer, so tests can hold simulation against closed
-form at three sigma.
+factor, because it reports them.  `stopping_time_stats` runs each trial
+once and tallies both its product, by closure id, and its absorption time,
+so one pass gives the absorption times and, as its ``products``, the
+product law that `estimate_law` gives.  Estimators report empirical
+frequencies with binomial standard errors; exact references for the same
+quantities come from the measure layer, so tests can hold simulation against
+closed form at three sigma.
 """
 
 from __future__ import annotations
@@ -345,13 +348,28 @@ class LawEstimate:
         return 0
 
 
-def _estimate_from_counts(counts: dict, keys: Sequence, trials: int, depth: int) -> LawEstimate:
+def _estimate_from_counts(
+    counts: Sequence[int], keys: Sequence, cfg: SimConfig
+) -> LawEstimate:
     atoms = []
-    for k in keys:
-        c = counts.get(k, 0)
-        p = c / trials
-        atoms.append((k, c, p, sqrt(p * (1 - p) / trials)))
-    return LawEstimate(trials, depth, tuple(atoms))
+    for k, c in zip(keys, counts):
+        p = c / cfg.trials
+        atoms.append((k, c, p, sqrt(p * (1 - p) / cfg.trials)))
+    return LawEstimate(cfg.trials, cfg.depth, tuple(atoms))
+
+
+def _tally(comp: _Compiled, cfg: SimConfig) -> tuple[list[int], list[int]]:
+    """Run each trial once: product counts by closure id, and the absorption
+    times of the trials that absorbed, in trial order."""
+    run_trial = comp.trial_kernel(cfg.depth)
+    counts = [0] * len(comp.elements)
+    times = []
+    for trial in range(cfg.trials):
+        pid, absorbed = run_trial(trial_stream(cfg.seed, trial))
+        counts[pid] += 1
+        if absorbed is not None:
+            times.append(absorbed)
+    return counts, times
 
 
 def estimate_law(
@@ -362,33 +380,27 @@ def estimate_law(
 ) -> LawEstimate:
     """Empirical law of the depth-long product, or of the state at k = 0.
 
+    The product law is the one `stopping_time_stats` reports as ``products``.
     The state observable needs an entry law or entry state; the path then
     runs X(-depth) = entry, X(k) = noise(k) applied to X(k-1).
     """
     if observable not in ("product", "state"):
         raise ValueError(f"unknown observable {observable!r}")
     comp = _Compiled(noise)
-    run_trial = comp.trial_kernel(cfg.depth)
-    counts: dict = {}
     if observable == "product":
-        for trial in range(cfg.trials):
-            pid, _ = run_trial(trial_stream(cfg.seed, trial))
-            key = comp.elements[pid]
-            counts[key] = counts.get(key, 0) + 1
-        return _estimate_from_counts(counts, list(comp.elements), cfg.trials, cfg.depth)
+        counts, _ = _tally(comp, cfg)
+        return _estimate_from_counts(counts, comp.elements, cfg)
     if entry is None:
         raise ValueError("the state observable needs an entry law or state")
+    run_trial = comp.trial_kernel(cfg.depth)
     sampler, keys = _entry_sampler(_as_entry_measure(noise, entry))
+    counts = [0] * noise.space.size
     for trial in range(cfg.trials):
         rng = trial_stream(cfg.seed, trial)
         pid, absorbed_at = run_trial(rng)
         _skip_to_window_end(rng, cfg.depth, absorbed_at)
-        x = keys[sampler.draw(rng)]
-        y = comp.action[pid][x]
-        counts[y] = counts.get(y, 0) + 1
-    return _estimate_from_counts(
-        counts, list(range(noise.space.size)), cfg.trials, cfg.depth
-    )
+        counts[comp.action[pid][keys[sampler.draw(rng)]]] += 1
+    return _estimate_from_counts(counts, range(noise.space.size), cfg)
 
 
 @dataclass(frozen=True)
@@ -398,7 +410,8 @@ class StoppingTimeStats:
     ``exact_mean`` is None when absorption is not almost sure; then
     ``infinite_mass`` carries the exact probability of never absorbing and
     the empirical side reports the frequency of trials that never absorbed
-    within the simulated depth.
+    within the simulated depth.  ``products`` is the empirical law of the
+    depth-long product over the same trials, as `estimate_law` gives it.
     """
 
     trials: int
@@ -411,6 +424,7 @@ class StoppingTimeStats:
     q90: Optional[int]
     exact_mean: Optional[Fraction]
     infinite_mass: Fraction
+    products: LawEstimate
 
 
 def _exact_absorption(comp: _Compiled) -> tuple[Optional[Fraction], Fraction]:
@@ -421,20 +435,31 @@ def _exact_absorption(comp: _Compiled) -> tuple[Optional[Fraction], Fraction]:
     is the expected absorption time of the homogeneous product chain, solved
     exactly via the fundamental matrix on its transient states.  Under the
     tail, singleton closed classes are the absorbing products and larger ones
-    are never left, so entering them means T = infinity.
+    are never left, so entering them means T = infinity.  The chain is the
+    one on the products reachable from the law after the prefix: they are
+    closed under successors, so its classes and solutions are those of the
+    whole closure, restricted.
     """
-    m = len(comp.elements)
     # the laws after t = 1..steps factors; head is P(T > t) for t < steps
     *earlier, law = comp.noise.product_laws(max(comp.prefix_len, 1))
     head = Fraction(0)
     for stage, seen in zip(comp.stages, earlier):
         head += sum(w for i, w in seen.items() if i not in stage.absorbing)
-    # one tail step from each product: the rows of the product chain
-    out = comp.noise.tail_rows(range(m))
+    # breadth first from `law` to every product a tail step reaches
+    reach = list(law)
+    local = {p: j for j, p in enumerate(reach)}
+    rows: list[dict[int, Fraction]] = []
+    while len(rows) < len(reach):
+        level = comp.noise.tail_rows(reach[len(rows):])
+        rows.extend(level)
+        for q in {q for row in level for q in row if q not in local}:
+            local[q] = len(reach)
+            reach.append(q)
+    out = [{local[q]: w for q, w in row.items()} for row in rows]
     classes = closed_classes([sorted(row) for row in out])
     absorbing = {members[0] for members in classes if len(members) == 1}
     never = {v for members in classes if len(members) > 1 for v in members}
-    transient = [i for i in range(m) if i not in absorbing and i not in never]
+    transient = [i for i in range(len(reach)) if i not in absorbing and i not in never]
     pos, identity_minus_q, (into_never,) = transient_system(
         out, transient, dict.fromkeys(never, 0), 1
     )
@@ -443,7 +468,8 @@ def _exact_absorption(comp: _Compiled) -> tuple[Optional[Fraction], Fraction]:
     )
     infinite = Fraction(0)
     total = Fraction(1) + head
-    for s, w in law.items():
+    for p, w in law.items():
+        s = local[p]
         if s in absorbing:
             continue
         if s in never:
@@ -457,25 +483,18 @@ def _exact_absorption(comp: _Compiled) -> tuple[Optional[Fraction], Fraction]:
 
 
 def stopping_time_stats(noise: NoiseSpec, cfg: SimConfig) -> StoppingTimeStats:
-    """Empirical absorption times against the exact fundamental-matrix value."""
+    """Empirical absorption times against the exact fundamental-matrix value,
+    and the empirical product law, from one run of the trials."""
     comp = _Compiled(noise)
-    run_trial = comp.trial_kernel(cfg.depth)
-    times = []
-    unabsorbed = 0
-    for trial in range(cfg.trials):
-        _, absorbed = run_trial(trial_stream(cfg.seed, trial))
-        if absorbed is None:
-            unabsorbed += 1
-        else:
-            times.append(absorbed)
+    counts, times = _tally(comp, cfg)
     exact_mean, infinite = _exact_absorption(comp)
     if times:
         mean = sum(times) / len(times)
         var = sum((t - mean) ** 2 for t in times) / len(times)
         stderr = sqrt(var / len(times))
-        ordered = sorted(times)
-        median = ordered[len(ordered) // 2]
-        q90 = ordered[min(len(ordered) - 1, (len(ordered) * 9) // 10)]
+        times.sort()  # in place, after the sums that run in trial order
+        median = times[len(times) // 2]
+        q90 = times[min(len(times) - 1, (len(times) * 9) // 10)]
     else:
         mean = stderr = None
         median = q90 = None
@@ -483,13 +502,14 @@ def stopping_time_stats(noise: NoiseSpec, cfg: SimConfig) -> StoppingTimeStats:
         trials=cfg.trials,
         depth=cfg.depth,
         absorbed=len(times),
-        unabsorbed=unabsorbed,
+        unabsorbed=cfg.trials - len(times),
         empirical_mean=mean,
         empirical_stderr=stderr,
         median=median,
         q90=q90,
         exact_mean=exact_mean,
         infinite_mass=infinite,
+        products=_estimate_from_counts(counts, comp.elements, cfg),
     )
 
 

@@ -5,7 +5,9 @@ library's own code paths, so that agreement between the two is meaningful.
 The brute-force Fourier oracle below predates the library's integer-test
 implementation and stays the authority the tests defer to.  The one exception
 is `strongness_residuals_reference`, which keeps the object-level `convolve`
-chain that the library's integer stepping replaced.
+chain that the library's integer stepping replaced, and
+`exact_absorption_reference`, which keeps the absorption solve over every
+closure id that the library's solve over the reachable products replaced.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ import cmath
 from fractions import Fraction
 
 from tsl import CapacityError, convolve
+from tsl.linear import solve_linear
+from tsl.measures import closed_classes, transient_system
 
 _M64 = (1 << 64) - 1
 _TOL = 1e-9
@@ -343,6 +347,44 @@ def absorption_time_reference(
     after = sum((w * wait[at[s]] for s, w in law.items() if s in at), Fraction(0))
     return 1 + before + after, Fraction(0)
 
+
+def exact_absorption_reference(comp) -> tuple[Fraction | None, Fraction]:
+    """(E[T], P(T = infinity)) from the fundamental matrix over every closure id.
+
+    `comp` is a `tsl.montecarlo._Compiled`.  The same steps as the library's
+    solve, on the tail rows of the whole closure instead of the products
+    reachable from the law after the prefix.
+    """
+    noise = comp.noise
+    m = len(comp.elements)
+    *earlier, law = noise.product_laws(max(comp.prefix_len, 1))
+    head = Fraction(0)
+    for stage, seen in zip(comp.stages, earlier):
+        head += sum(w for i, w in seen.items() if i not in stage.absorbing)
+    out = [noise.step({p: Fraction(1)}, noise.atom_ids[-1]) for p in range(m)]
+    classes = closed_classes([sorted(row) for row in out])
+    absorbing = {members[0] for members in classes if len(members) == 1}
+    never = {v for members in classes if len(members) > 1 for v in members}
+    transient = [i for i in range(m) if i not in absorbing and i not in never]
+    pos, identity_minus_q, (into_never,) = transient_system(
+        out, transient, dict.fromkeys(never, 0), 1
+    )
+    hit_never, expected = solve_linear(
+        identity_minus_q, [into_never, [Fraction(1)] * len(transient)]
+    )
+    infinite = Fraction(0)
+    total = Fraction(1) + head
+    for s, w in law.items():
+        if s in absorbing:
+            continue
+        if s in never:
+            infinite += w
+        else:
+            infinite += w * hit_never[pos[s]]
+            total += w * expected[pos[s]]
+    if infinite != 0:
+        return None, infinite
+    return total, Fraction(0)
 
 
 def pick_reference(weights: dict, u: int):

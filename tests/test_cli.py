@@ -21,6 +21,7 @@ from tsl import (
 
 import tsl.context
 import tsl.measures
+import tsl.montecarlo
 
 from helpers import GEN_A, count_calls, run_cli, two_map_noise
 
@@ -406,12 +407,14 @@ def test_simulate_table_and_csv_are_frozen(capsys, specs_dir, tmp_path):
     assert target.read_bytes() == first
 
 
-def test_simulate_builds_the_noise_closure_once(capsys, specs_dir, monkeypatch):
-    calls = count_calls(monkeypatch, tsl.measures, "generate_closure")
+def test_simulate_builds_one_closure_and_runs_each_trial_once(capsys, specs_dir, monkeypatch):
+    closures = count_calls(monkeypatch, tsl.measures, "generate_closure")
+    streams = count_calls(monkeypatch, tsl.montecarlo, "trial_stream")
     argv = ["simulate", str(specs_dir / "three_state.tsl"), "--trials", "50"]
     rc, _, _ = run(capsys, argv)
     assert rc == 0
-    assert len(calls) == 1
+    assert len(closures) == 1
+    assert len(streams) == 50
 
 
 # two declared prefix laws, at 0 and -2, with the tail filling the gap at -1

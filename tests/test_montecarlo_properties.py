@@ -1,7 +1,9 @@
-"""Randomized checks of the Monte Carlo trial kernel and the exact product
-laws against the definitions."""
+"""Randomized checks of the Monte Carlo trial kernel, the trial tally and the
+exact laws against the definitions."""
 
 from __future__ import annotations
+
+from statistics import median_high
 
 from hypothesis import example, given, strategies as st
 
@@ -15,13 +17,15 @@ from tsl import (
     exact_product_law,
     simulate_paths,
     state_carrier,
+    stopping_time_stats,
     trial_stream,
 )
-from tsl.montecarlo import GAMMA, _Compiled, _skip_to_window_end
+from tsl.montecarlo import GAMMA, _Compiled, _exact_absorption, _skip_to_window_end
 from tsl.solver import Origin, SolutionLawFamily
 
 from oracles import (
     backward_product_reference,
+    exact_absorption_reference,
     pick_reference,
     splitmix64_reference,
     stagewise_product_law,
@@ -106,6 +110,56 @@ def test_paths_and_kernel_share_one_absorption_time(batch, depth, seed):
         pid, absorbed_at = run_trial(trial_stream(seed, sample.trial))
         assert sample.absorbed_at == absorbed_at
         assert sample.products[-1] == comp.elements[pid]
+
+
+@COMMON
+@given(noises, depths, seeds)
+@example(_absorption_case(2, {(0, 1): 1}, {(1, 0): 1}, {(0, 0): "1/2", (1, 1): "1/2"}), 3, 1)
+@example(_absorption_case(3, {(1, 0, 2): 1}), 5, 2)
+def test_tally_matches_the_full_draw_reference(batch, depth, seed):
+    _, (tail, *prefix), _ = batch
+    noise = NoiseSpec(tail, tuple(prefix))
+    cfg = SimConfig(depth, TRIALS, seed)
+    stats = stopping_time_stats(noise, cfg)
+    assert stats.products == estimate_law(noise, cfg)
+    prefix_images, tail_images = [_images(m) for m in prefix], _images(tail)
+    counts: dict = {}
+    times = []
+    for trial in range(TRIALS):
+        product, absorbed_at = backward_product_reference(
+            prefix_images, tail_images, depth, trial_stream(seed, trial).state
+        )
+        counts[product] = counts.get(product, 0) + 1
+        if absorbed_at is not None:
+            times.append(absorbed_at)
+    assert {k.image: c for k, c, _, _ in stats.products.atoms if c} == counts
+    assert (stats.absorbed, stats.unabsorbed) == (len(times), TRIALS - len(times))
+    if times:
+        assert stats.empirical_mean == sum(times) / len(times)
+        assert stats.median == median_high(times)
+    else:
+        assert stats.empirical_mean is stats.median is None
+
+
+@COMMON
+@given(st.integers(1, 3).flatmap(lambda count: measure_batch(count, max_states=3)))
+# a group tail behind a prefix that reaches 3 of the 27 closure ids
+@example(
+    _absorption_case(
+        3,
+        {(1, 0, 2): "1/2", (0, 2, 1): "1/2"},
+        {(0, 0, 1): 1},
+        {(1, 0, 2): "1/2", (0, 2, 1): "1/2"},
+        {(0, 2, 1): 1},
+    )
+)
+# a swap class entered with probability 3/4, and an absorbing tail
+@example(_absorption_case(2, {(1, 0): 1}, {(1, 0): "3/4", (0, 0): "1/4"}, {(0, 1): 1}))
+@example(_absorption_case(2, {(0, 0): "1/2", (1, 0): "1/2"}))
+def test_exact_absorption_matches_the_all_ids_reference(batch):
+    _, (tail, *prefix), _ = batch
+    comp = _Compiled(NoiseSpec(tail, tuple(prefix)))
+    assert _exact_absorption(comp) == exact_absorption_reference(comp)
 
 
 @COMMON
