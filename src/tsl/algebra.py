@@ -3,14 +3,14 @@
 Elements are total maps on {0, ..., n-1} in canonical image-list form.
 Composition is (a b)(x) = a(b(x)): the right factor acts first, so products
 that grow "into the past" extend on the right.  All containers are immutable
-and every enumeration order is deterministic (image-list lexicographic), so
-identical inputs give bit-identical outputs.
+and every enumeration order is deterministic, so identical inputs give
+bit-identical outputs.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -50,9 +50,7 @@ class StateSpace:
         if self.size < 1:
             raise ValueError(f"state space must be non-empty, got size {self.size}")
         if len(self.labels) != self.size:
-            raise ValueError(
-                f"expected {self.size} labels, got {len(self.labels)}"
-            )
+            raise ValueError(f"expected {self.size} labels, got {len(self.labels)}")
         if len(set(self.labels)) != self.size:
             raise ValueError("state labels must be distinct")
 
@@ -105,9 +103,7 @@ class TransformationElement:
 def compose(a: TransformationElement, b: TransformationElement) -> TransformationElement:
     """Product a b with b acting first: (a b)(x) = a(b(x))."""
     if a.degree != b.degree:
-        raise DimensionError(
-            f"cannot compose maps of degree {a.degree} and {b.degree}"
-        )
+        raise DimensionError(f"cannot compose maps of degree {a.degree} and {b.degree}")
     return TransformationElement(tuple(a.image[v] for v in b.image))
 
 
@@ -163,14 +159,9 @@ class FiniteSemigroup:
             generators = tuple(range(n))
         sg = cls(table, tuple(generators))
         if validate:
-            for a in range(n):
-                for b in range(n):
-                    ab = table[a][b]
-                    for c in range(n):
-                        if table[ab][c] != table[a][table[b][c]]:
-                            raise ValueError(
-                                f"table is not associative at ({a},{b},{c})"
-                            )
+            for a, b, c in itertools.product(range(n), repeat=3):
+                if table[table[a][b]][c] != table[a][table[b][c]]:
+                    raise ValueError(f"table is not associative at ({a},{b},{c})")
         return sg
 
     @property
@@ -206,12 +197,9 @@ class FiniteSemigroup:
                 return tuple(powers)
             powers.append(nxt)
 
-    @cached_property
-    def identity_id(self) -> Optional[int]:
-        for e in range(self.size):
-            if all(self.mul(e, x) == x and self.mul(x, e) == x for x in range(self.size)):
-                return e
-        return None
+
+def _compose_images(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(map(a.__getitem__, b))
 
 
 def generate_closure(
@@ -219,13 +207,13 @@ def generate_closure(
     generators: Sequence[TransformationElement],
     cap: Optional[int] = None,
 ) -> FiniteSemigroup:
-    """Close a generator list under composition.
+    """Close a generator list under composition (Froidure and Pin, 1997).
 
-    Element order is breadth-first from the generators (kept in given order,
-    deduplicated), with each new frontier sorted by image-list lexicographic
-    order.  The order is part of the contract: reports index elements by it.
-    A cap bounds the closure size; the product that would exceed it raises
-    CapacityError at once, before the rest of its round is composed.
+    Reports index elements in this order: the generators (given order,
+    deduplicated), then rounds r = 1, 2, ... sorted by image list, round r
+    holding the elements whose shortest word has length L, ceil(log2 L) = r.
+    Cost: n*|G| compositions give the right Cayley graph, then the table is
+    n^2 lookups in it.  The element past ``cap`` raises CapacityError.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -234,39 +222,45 @@ def generate_closure(
             raise DimensionError(
                 f"generator degree {g.degree} does not match space size {space.size}"
             )
-    order: list[TransformationElement] = []
-    index: dict[TransformationElement, int] = {}
-    for g in generators:
-        if g not in index:
-            index[g] = len(order)
-            order.append(g)
-    while True:
-        fresh = set()
-        for a in order:
-            for b in order:
-                p = compose(a, b)
-                if p not in index:
-                    fresh.add(p)
-                    if cap is not None and len(order) + len(fresh) > cap:
-                        raise CapacityError(
-                            f"closure exceeded the cap of {cap} elements",
-                            cap=cap,
-                        )
-        if not fresh:
-            break
-        for p in sorted(fresh):
-            index[p] = len(order)
-            order.append(p)
-    elements = tuple(order)
-    cayley = tuple(
-        tuple(index[compose(a, b)] for b in elements) for a in elements
+    gens = tuple(dict.fromkeys(g.image for g in generators))
+    k = len(gens)
+    # x = parent[x] * gens[last[x]] for x >= k, in length[x] letters;
+    # right[x * k + j] = x * gens[j]
+    images, index, length, parent, last, right = [], {}, [], [], [], []
+
+    def insert(image, size, prefix, letter):
+        if cap is not None and len(images) >= cap:
+            raise CapacityError(f"closure exceeded the cap of {cap} elements", cap=cap)
+        index[image] = len(images)
+        images.append(image)
+        length.append(size)
+        parent.append(prefix)
+        last.append(letter)
+
+    for j, g in enumerate(gens):
+        insert(g, 1, None, j)
+    for x, image in enumerate(images):  # a growing queue
+        for j, g in enumerate(gens):
+            p = _compose_images(image, g)
+            if p not in index:
+                insert(p, length[x] + 1, x, j)
+            right.append(index[p])
+    n = len(images)
+    order = [*range(k)] + sorted(
+        range(k, n), key=lambda x: ((length[x] - 1).bit_length(), images[x])
     )
-    gen_ids = []
-    for g in generators:
-        gid = index[g]
-        if gid not in gen_ids:
-            gen_ids.append(gid)
-    return FiniteSemigroup(cayley, tuple(gen_ids), elements, space)
+    pos = sorted(range(n), key=order.__getitem__)  # the inverse of order
+    right = [[pos[y] for y in right[x * k : x * k + k]] for x in order]
+    steps = [(pos[b], pos[parent[b]], last[b]) for b in range(k, n)]
+    cayley = []
+    for a in range(n):
+        row = right[a] + [0] * (n - k)
+        for b, p, j in steps:
+            row[b] = right[row[p]][j]
+        cayley.append(tuple(row))
+        del row  # else each row leaves a heap hole
+    elements = tuple(TransformationElement(images[x]) for x in order)
+    return FiniteSemigroup(tuple(cayley), tuple(range(k)), elements, space)
 
 
 def full_transformation_monoid(space: StateSpace, cap: Optional[int] = None) -> FiniteSemigroup:
@@ -346,17 +340,11 @@ class ElementClassification:
 def classify_elements(sg: FiniteSemigroup) -> ElementClassification:
     if sg.elements is None:
         raise ValueError("classify_elements needs a transformation-backed semigroup")
-    cancellative = []
-    synchronizing = []
-    target = {}
-    for i, e in enumerate(sg.elements):
-        if e.is_injective():
-            cancellative.append(i)
-        if e.is_constant():
-            synchronizing.append(i)
-            target[i] = e.image[0]
+    target = {i: e.image[0] for i, e in enumerate(sg.elements) if e.is_constant()}
     return ElementClassification(
-        frozenset(cancellative), frozenset(synchronizing), dict(target)
+        frozenset(i for i, e in enumerate(sg.elements) if e.is_injective()),
+        frozenset(target),
+        target,
     )
 
 
@@ -433,17 +421,15 @@ def is_subgroup(sg: FiniteSemigroup, members: Iterable[int]) -> Optional[int]:
 
 
 def _closure_ids(sg: FiniteSemigroup, seed: Sequence[int]) -> frozenset[int]:
+    # right multiples of the seed, breadth first
     known = set(seed)
-    frontier = list(known)
-    while frontier:
-        fresh = []
-        for a in list(known):
-            for b in frontier:
-                for p in (sg.mul(a, b), sg.mul(b, a)):
-                    if p not in known:
-                        known.add(p)
-                        fresh.append(p)
-        frontier = fresh
+    found = list(known)
+    for x in found:  # a growing queue
+        for g in seed:
+            p = sg.mul(x, g)
+            if p not in known:
+                known.add(p)
+                found.append(p)
     return frozenset(known)
 
 

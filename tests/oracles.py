@@ -5,9 +5,11 @@ library's own code paths, so that agreement between the two is meaningful.
 The brute-force Fourier oracle below predates the library's integer-test
 implementation and stays the authority the tests defer to.  The one exception
 is `strongness_residuals_reference`, which keeps the object-level `convolve`
-chain that the library's integer stepping replaced, and
+chain that the library's integer stepping replaced,
 `exact_absorption_reference`, which keeps the absorption solve over every
-closure id that the library's solve over the reachable products replaced.
+closure id that the library's solve over the reachable products replaced, and
+`generate_closure_reference`, which keeps the all-pairs closure loop that the
+library's Froidure-Pin enumeration replaced.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 
-from tsl import CapacityError, convolve
+from tsl import CapacityError, FiniteSemigroup, compose, convolve
 from tsl.linear import solve_linear
 from tsl.measures import closed_classes, transient_system
 
@@ -385,6 +387,42 @@ def exact_absorption_reference(comp) -> tuple[Fraction | None, Fraction]:
     if infinite != 0:
         return None, infinite
     return total, Fraction(0)
+
+
+def generate_closure_reference(space, generators, cap=None) -> FiniteSemigroup:
+    """The closure of a generator list by rounds of all-pairs products.
+
+    The generators come first (given order, deduplicated); each round then
+    composes every pair of known elements and appends the new products in
+    image order, and the table composes every pair once more.  Raises the
+    library's CapacityError as soon as more than `cap` elements are known,
+    the generators included.
+    """
+
+    def check(count):
+        if cap is not None and count > cap:
+            raise CapacityError(f"closure exceeded the cap of {cap} elements", cap=cap)
+
+    order = list(dict.fromkeys(generators))
+    check(len(order))
+    index = {g: i for i, g in enumerate(order)}
+    while True:
+        fresh = set()
+        for a in order:
+            for b in order:
+                p = compose(a, b)
+                if p not in index:
+                    fresh.add(p)
+                    check(len(order) + len(fresh))
+        if not fresh:
+            break
+        for p in sorted(fresh):
+            index[p] = len(order)
+            order.append(p)
+    elements = tuple(order)
+    cayley = tuple(tuple(index[compose(a, b)] for b in elements) for a in elements)
+    generator_ids = tuple(dict.fromkeys(index[g] for g in generators))
+    return FiniteSemigroup(cayley, generator_ids, elements, space)
 
 
 def pick_reference(weights: dict, u: int):

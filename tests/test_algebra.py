@@ -31,6 +31,7 @@ from tsl import (
 import tsl.algebra
 
 from helpers import CLOSURE_IMAGES, GEN_A, GEN_B, THREE, count_calls
+from oracles import compose_images
 
 
 @pytest.fixture(scope="module")
@@ -110,20 +111,46 @@ def test_generate_closure_capacity_guard():
 
 
 def test_generate_closure_stops_at_the_first_product_past_the_cap(monkeypatch):
-    calls = count_calls(monkeypatch, tsl.algebra, "compose")
+    calls = count_calls(monkeypatch, tsl.algebra, "_compose_images")
     with pytest.raises(CapacityError):
         generate_closure(SIX, FULL_SIX_GENERATORS, cap=100)
-    # the first two rounds compose all 3^2 and 10^2 pairs; the cap stops the
-    # third, over 50 elements, at the first product that makes 101
-    seen = set(FULL_SIX_GENERATORS)
+    # each element is composed once with each generator, so the product that
+    # makes 101 distinct elements comes within the first 100 * 3 compositions
+    seen = {g.image for g in FULL_SIX_GENERATORS}
     for count, (a, b) in enumerate(calls, 1):
-        seen.add(compose(a, b))
+        seen.add(compose_images(a, b))
         if len(seen) > 100:
             break
     else:
         pytest.fail("the composed products never exceed the cap")
     assert count == len(calls)
-    assert len(calls) < 3**2 + 10**2 + 50**2
+    assert len(calls) <= 100 * len(FULL_SIX_GENERATORS)
+
+
+def test_generate_closure_caps_the_generators_themselves():
+    # the three translations of Z/3 are already closed: the cap still counts them
+    z3 = [TransformationElement(tuple((g + x) % 3 for x in range(3))) for g in range(3)]
+    with pytest.raises(CapacityError) as exc:
+        generate_closure(THREE, z3, cap=2)
+    assert exc.value.cap == 2
+    assert str(exc.value) == "closure exceeded the cap of 2 elements"
+    assert generate_closure(THREE, z3, cap=3).size == 3
+
+
+def test_closure_of_t4_generators_is_the_full_monoid_with_the_same_table():
+    space = StateSpace.of_size(4)
+    gens = [
+        TransformationElement(tuple(v - 1 for v in img))
+        for img in ((2, 1, 3, 4), (2, 3, 4, 1), (1, 1, 3, 4))
+    ]
+    closure = generate_closure(space, gens)
+    full = full_transformation_monoid(space)
+    assert set(closure.elements) == set(full.elements)
+    # relabel closure ids as full-monoid ids; the two tables must then agree
+    to_full = [full.element_index[e] for e in closure.elements]
+    for a in range(closure.size):
+        for b in range(closure.size):
+            assert to_full[closure.mul(a, b)] == full.mul(to_full[a], to_full[b])
 
 
 def test_power_core_is_whole_closure(closure):

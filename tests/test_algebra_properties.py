@@ -5,6 +5,7 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from tsl import (
+    CapacityError,
     StateSpace,
     TransformationElement,
     classify_elements,
@@ -22,7 +23,7 @@ from tsl import (
     power_orbit_intersection,
 )
 
-from oracles import compose_images
+from oracles import compose_images, generate_closure_reference
 
 COMMON = settings(max_examples=120, derandomize=True, deadline=None)
 
@@ -91,6 +92,36 @@ def test_closure_table_matches_composition(data):
         for j in range(sg.size):
             product = sg.element(sg.mul(i, j))
             assert product == compose(sg.element(i), sg.element(j))
+
+
+@st.composite
+def capped_generator_lists(draw):
+    n = draw(st.integers(1, 5))
+    image = st.tuples(*[st.integers(0, n - 1)] * n)
+    gens = draw(st.lists(image, min_size=1, max_size=4))
+    if len(gens) < 4 and draw(st.booleans()):
+        gens.append(draw(st.sampled_from(gens)))
+    # uncapped closures on 4 or 5 states reach thousands of elements, which
+    # the all-pairs reference takes minutes to build
+    caps = st.integers(1, 100)
+    cap = draw((caps | st.none()) if n <= 3 else caps)
+    return StateSpace.of_size(n), [TransformationElement(g) for g in gens], cap
+
+
+def closure_outcome(build, space, gens, cap):
+    try:
+        sg = build(space, gens, cap=cap)
+    except CapacityError as exc:
+        return str(exc), exc.cap
+    return sg.elements, sg.cayley, sg.generators
+
+
+@COMMON
+@given(capped_generator_lists())
+def test_closure_matches_the_all_pairs_reference(data):
+    assert closure_outcome(generate_closure, *data) == closure_outcome(
+        generate_closure_reference, *data
+    )
 
 
 @COMMON
