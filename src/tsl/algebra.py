@@ -150,7 +150,6 @@ class FiniteSemigroup:
         cls,
         cayley: Sequence[Sequence[int]],
         generators: Optional[Sequence[int]] = None,
-        validate: bool = True,
     ) -> "FiniteSemigroup":
         """Build an abstract semigroup from a raw table, checking associativity."""
         table = tuple(tuple(row) for row in cayley)
@@ -158,10 +157,9 @@ class FiniteSemigroup:
         if generators is None:
             generators = tuple(range(n))
         sg = cls(table, tuple(generators))
-        if validate:
-            for a, b, c in itertools.product(range(n), repeat=3):
-                if table[table[a][b]][c] != table[a][table[b][c]]:
-                    raise ValueError(f"table is not associative at ({a},{b},{c})")
+        for a, b, c in itertools.product(range(n), repeat=3):
+            if table[table[a][b]][c] != table[a][table[b][c]]:
+                raise ValueError(f"table is not associative at ({a},{b},{c})")
         return sg
 
     @property

@@ -619,7 +619,7 @@ def _cmd_simulate(args) -> int:
             writer.writerow(header)
             writer.writerows(rows)
     out = [
-        f"trials={cfg.trials} depth={cfg.depth} seed={cfg.seed} rng={cfg.rng}"
+        f"trials={cfg.trials} depth={cfg.depth} seed={cfg.seed} rng=splitmix64"
     ]
     widths = [
         max(len(str(row[i])) for row in [header, *rows]) for i in range(4)

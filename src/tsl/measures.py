@@ -54,7 +54,6 @@ __all__ = [
     "is_right_invariant",
     "build_product_chain",
     "limit_analysis",
-    "solve_linear",
 ]
 
 MeasureKey = Union[TransformationElement, int]
@@ -169,12 +168,6 @@ class ProbMeasure:
             kk = f(k)
             out[kk] = out.get(kk, Fraction(0)) + w
         return ProbMeasure.from_weights(self.carrier, out)
-
-    def mix_with(self, others: Sequence["ProbMeasure"], weights: Sequence[Fraction]) -> "ProbMeasure":
-        measures = [self, *others]
-        if len(measures) != len(weights):
-            raise ValueError("one weight per measure")
-        return mix(measures, weights)
 
 
 def mix(measures: Sequence[ProbMeasure], weights: Sequence[Fraction]) -> ProbMeasure:
@@ -448,51 +441,95 @@ def _class_period(members: Sequence[int], succ: Sequence[Sequence[int]]) -> int:
     return abs(g) if g else 1
 
 
+def tail_chain(
+    noise: NoiseSpec, law: Iterable[int]
+) -> tuple[list[int], list[dict[int, Fraction]]]:
+    """The closure ids reachable from ``law`` by tail steps, and their rows.
+
+    Breadth first: the support of ``law``, then each level's new successors,
+    each level in image order.  ``out[j]`` maps the position of each
+    successor of ``ids[j]`` to its one-step weight.
+    """
+    element = noise.closure.element
+    ids = sorted(law, key=element)
+    index = {p: j for j, p in enumerate(ids)}
+    rows: list[dict[int, Fraction]] = []  # the rows of ids[:len(rows)]
+    while len(rows) < len(ids):
+        level = noise.tail_rows(ids[len(rows):])
+        rows.extend(level)
+        for p in sorted({q for row in level for q in row if q not in index}, key=element):
+            index[p] = len(ids)
+            ids.append(p)
+    return ids, [{index[q]: w for q, w in row.items()} for row in rows]
+
+
+def absorption(
+    out: Sequence[Mapping[int, Fraction]],
+    targets: Sequence[Iterable[int]],
+    initial: Sequence[Fraction],
+) -> tuple[tuple[int, ...], list[Fraction], Fraction]:
+    """Where and how soon the chain started from ``initial`` enters a target.
+
+    ``out[v]`` maps each successor of state v to its transition weight; each
+    target is a group of recurrent states, and together they hold every
+    closed class.  One solve of (I - Q) x = r over the other states, the
+    transient ones, with one right-hand side r per target but the first (the
+    one-step weight into it) and one all-ones r (the expected steps).  Some
+    target is entered for sure, so the first one gets the rest of the mass.
+    Returns the transient states, the probability of entering each target,
+    and the expected number of steps before entering any.
+    """
+    target_of = {v: k for k, group in enumerate(targets) for v in group}
+    transient = tuple(v for v in range(len(out)) if v not in target_of)
+    pos = {v: i for i, v in enumerate(transient)}
+    system: list[dict[int, Fraction]] = []
+    rhss = [[Fraction(0)] * len(transient) for _ in targets]
+    for i, s in enumerate(transient):
+        row = {i: Fraction(1)}
+        for t, w in out[s].items():
+            if t in pos:
+                row[pos[t]] = row.get(pos[t], Fraction(0)) - w
+            else:
+                rhss[target_of[t]][i] += w
+        system.append(row)
+    *into, wait = solve_linear(system, [*rhss[1:], [Fraction(1)] * len(transient)])
+    hits = [Fraction(0)] * len(targets)
+    steps = Fraction(0)
+    for s, w in enumerate(initial):
+        if not w:
+            continue
+        if s in pos:
+            steps += w * wait[pos[s]]
+            for k, hit in enumerate(into, 1):
+                hits[k] += w * hit[pos[s]]
+        else:
+            hits[target_of[s]] += w
+    hits[0] = sum(initial) - sum(hits[1:])
+    return transient, hits, steps
+
+
 def build_product_chain(noise: NoiseSpec) -> ProductChain:
     """Chain of running products under the stationary tail.
 
     States are the products reachable from the tail support under right
-    multiplication by the tail support, in breadth-first image-lex order.
-    The search steps closure ids with `NoiseSpec.tail_rows`, so a closure
+    multiplication by the tail support, in `tail_chain` order, so a closure
     past CLOSURE_CAP raises CapacityError.
     Transitions, absorption probabilities and per-class stationary laws are
     exact rationals.
     """
-    element = noise.closure.element
-    states = sorted((f for f, _ in noise.atom_ids[-1]), key=element)
-    index = {p: j for j, p in enumerate(states)}
-    id_rows: list[dict[int, Fraction]] = []  # the rows of states[:len(id_rows)]
-    while len(id_rows) < len(states):
-        level = noise.tail_rows(states[len(id_rows):])
-        id_rows.extend(level)
-        fresh = {q for row in level for q in row if q not in index}
-        for p in sorted(fresh, key=element):
-            index[p] = len(states)
-            states.append(p)
-    n = len(states)
-    out = [{index[q]: w for q, w in row.items()} for row in id_rows]
+    tail = dict(noise.atom_ids[-1])
+    ids, out = tail_chain(noise, tail)
     succ = [sorted(row) for row in out]
     recurrent_sets = closed_classes(succ)
-    recurrent_ids = {v for comp in recurrent_sets for v in comp}
-    transient = tuple(i for i in range(n) if i not in recurrent_ids)
-
-    initial = [Fraction(0)] * n
-    for f, w in noise.atom_ids[-1]:
-        initial[index[f]] += w
-
-    absorptions = _absorption_probabilities(out, transient, recurrent_sets, initial)
+    initial = [tail.get(p, Fraction(0)) for p in ids]
+    transient, absorptions, _ = absorption(out, recurrent_sets, initial)
     classes = []
-    for members, absorption in zip(recurrent_sets, absorptions):
+    for members, hit in zip(recurrent_sets, absorptions):
         period = _class_period(members, succ)
         stationary = tuple(zip(members, stationary_on_class(members, out)))
-        classes.append(RecurrentClass(members, period, absorption, stationary))
-    total = sum((c.absorption for c in classes), Fraction(0))
-    if total != 1:
-        raise InternalInconsistencyError(
-            f"absorption probabilities sum to {total}, expected 1"
-        )
+        classes.append(RecurrentClass(members, period, hit, stationary))
     return ProductChain(
-        noise.space, tuple(map(element, states)),
+        noise.space, tuple(map(noise.closure.element, ids)),
         tuple(tuple(sorted(row.items())) for row in out), tuple(initial),
         tuple(classes), transient,
     )
@@ -520,60 +557,6 @@ def stationary_on_class(
     if any(v < 0 for v in pi):
         raise InternalInconsistencyError("negative stationary weight")
     return pi
-
-
-def transient_system(
-    out: Sequence[Mapping[int, Fraction]],
-    transient: Sequence[int],
-    target_of: Mapping[int, int],
-    targets: int,
-) -> tuple[dict[int, int], list[dict[int, Fraction]], list[list[Fraction]]]:
-    """The (I - Q) rows over ``transient`` and one right-hand side per target.
-
-    ``out[v]`` maps each successor of state v to its transition weight, and
-    ``target_of`` sends a non-transient state to the index of its target;
-    right-hand side k holds each transient state's one-step weight into
-    target k.  Steps into non-transient states outside ``target_of`` count
-    for no target.  Also returns each transient state's row position.
-    """
-    pos = {v: i for i, v in enumerate(transient)}
-    system: list[dict[int, Fraction]] = []
-    rhss = [[Fraction(0)] * len(transient) for _ in range(targets)]
-    for i, s in enumerate(transient):
-        row = {i: Fraction(1)}
-        for t, w in out[s].items():
-            if t in pos:
-                row[pos[t]] = row.get(pos[t], Fraction(0)) - w
-            elif t in target_of:
-                rhss[target_of[t]][i] += w
-        system.append(row)
-    return pos, system, rhss
-
-
-def _absorption_probabilities(
-    out: Sequence[Mapping[int, Fraction]],
-    transient: Sequence[int],
-    classes: Sequence[Sequence[int]],
-    initial: Sequence[Fraction],
-) -> list[Fraction]:
-    """Probability that the chain started from ``initial`` ends in each class.
-
-    One solve of (I - Q) h = r over the transient states, with one
-    right-hand side r per class: the one-step weight into that class.
-    """
-    class_of = {v: k for k, members in enumerate(classes) for v in members}
-    pos, system, rhss = transient_system(out, transient, class_of, len(classes))
-    hits = solve_linear(system, rhss)
-    totals = [Fraction(0)] * len(classes)
-    for s, w in enumerate(initial):
-        if w == 0:
-            continue
-        if s in pos:
-            for k, hit in enumerate(hits):
-                totals[k] += w * hit[pos[s]]
-        else:
-            totals[class_of[s]] += w
-    return totals
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,9 @@ so one pass gives the absorption times and, as its ``products``, the
 product law that `estimate_law` gives.  Estimators report empirical
 frequencies with binomial standard errors; exact references for the same
 quantities come from the measure layer, so tests can hold simulation against
-closed form at three sigma.
+closed form at three sigma.  The exact absorption times walk the product
+chain with `measures.tail_chain` and solve it with `measures.absorption`, the
+walk and the solve that `build_product_chain` uses.
 """
 
 from __future__ import annotations
@@ -35,14 +37,14 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .algebra import TransformationElement
 from .errors import CarrierMismatchError, InternalInconsistencyError
-from .linear import solve_linear
 from .measures import (
     NoiseSpec,
     ProbMeasure,
+    absorption,
     act,
     closed_classes,
     state_carrier,
-    transient_system,
+    tail_chain,
 )
 from .solver import SolutionLawFamily
 
@@ -105,7 +107,6 @@ class SimConfig:
     depth: int = 64
     trials: int = 10000
     seed: int = 1
-    rng: str = "splitmix64"
 
     def __post_init__(self):
         if self.depth < 1:
@@ -114,8 +115,6 @@ class SimConfig:
             raise ValueError("trials must be at least 1")
         if not 0 <= self.seed < (1 << 64):
             raise ValueError("seed must fit in 64 bits")
-        if self.rng != "splitmix64":
-            raise ValueError(f"unknown rng {self.rng!r}")
 
 
 class _Sampler:
@@ -432,54 +431,29 @@ def _exact_absorption(comp: _Compiled) -> tuple[Optional[Fraction], Fraction]:
 
     E[T] = sum over t >= 0 of P(T > t).  Over the prefix, `product_laws`
     steps the law of the product; from the first all-tail time on, the rest
-    is the expected absorption time of the homogeneous product chain, solved
-    exactly via the fundamental matrix on its transient states.  Under the
-    tail, singleton closed classes are the absorbing products and larger ones
-    are never left, so entering them means T = infinity.  The chain is the
-    one on the products reachable from the law after the prefix: they are
-    closed under successors, so its classes and solutions are those of the
-    whole closure, restricted.
+    is the expected absorption time of the homogeneous product chain, which
+    `measures.absorption` solves on the `tail_chain` from the law after the
+    prefix: those products are closed under successors, so its classes and
+    solutions are those of the whole closure, restricted.  Under the tail,
+    singleton closed classes are the absorbing products and larger ones are
+    never left, so the two are the targets, and entering the second means
+    T = infinity.
     """
     # the laws after t = 1..steps factors; head is P(T > t) for t < steps
     *earlier, law = comp.noise.product_laws(max(comp.prefix_len, 1))
     head = Fraction(0)
     for stage, seen in zip(comp.stages, earlier):
         head += sum(w for i, w in seen.items() if i not in stage.absorbing)
-    # breadth first from `law` to every product a tail step reaches
-    reach = list(law)
-    local = {p: j for j, p in enumerate(reach)}
-    rows: list[dict[int, Fraction]] = []
-    while len(rows) < len(reach):
-        level = comp.noise.tail_rows(reach[len(rows):])
-        rows.extend(level)
-        for q in {q for row in level for q in row if q not in local}:
-            local[q] = len(reach)
-            reach.append(q)
-    out = [{local[q]: w for q, w in row.items()} for row in rows]
+    ids, out = tail_chain(comp.noise, law)
     classes = closed_classes([sorted(row) for row in out])
-    absorbing = {members[0] for members in classes if len(members) == 1}
-    never = {v for members in classes if len(members) > 1 for v in members}
-    transient = [i for i in range(len(reach)) if i not in absorbing and i not in never]
-    pos, identity_minus_q, (into_never,) = transient_system(
-        out, transient, dict.fromkeys(never, 0), 1
-    )
-    hit_never, expected = solve_linear(
-        identity_minus_q, [into_never, [Fraction(1)] * len(transient)]
-    )
-    infinite = Fraction(0)
-    total = Fraction(1) + head
-    for p, w in law.items():
-        s = local[p]
-        if s in absorbing:
-            continue
-        if s in never:
-            infinite += w
-        else:
-            infinite += w * hit_never[pos[s]]
-            total += w * expected[pos[s]]
+    targets = [
+        [v for members in classes if len(members) == 1 for v in members],
+        [v for members in classes if len(members) > 1 for v in members],
+    ]
+    _, (_, infinite), steps = absorption(out, targets, [law.get(p, 0) for p in ids])
     if infinite != 0:
         return None, infinite
-    return total, Fraction(0)
+    return 1 + head + steps, Fraction(0)
 
 
 def stopping_time_stats(noise: NoiseSpec, cfg: SimConfig) -> StoppingTimeStats:

@@ -6,8 +6,8 @@ The brute-force Fourier oracle below predates the library's integer-test
 implementation and stays the authority the tests defer to.  The one exception
 is `strongness_residuals_reference`, which keeps the object-level `convolve`
 chain that the library's integer stepping replaced,
-`exact_absorption_reference`, which keeps the absorption solve over every
-closure id that the library's solve over the reachable products replaced, and
+`exact_absorption_reference`, which runs the library's `absorption` solve over
+every closure id instead of over the products reachable after the prefix, and
 `generate_closure_reference`, which keeps the all-pairs closure loop that the
 library's Froidure-Pin enumeration replaced.
 """
@@ -18,8 +18,7 @@ import cmath
 from fractions import Fraction
 
 from tsl import CapacityError, FiniteSemigroup, compose, convolve
-from tsl.linear import solve_linear
-from tsl.measures import closed_classes, transient_system
+from tsl.measures import absorption, closed_classes
 
 _M64 = (1 << 64) - 1
 _TOL = 1e-9
@@ -118,16 +117,19 @@ def stagewise_product_law(
 
 def product_chain_reference(
     tail: dict[tuple[int, ...], Fraction],
+    start: dict[tuple[int, ...], Fraction] | None = None,
 ) -> tuple[list[tuple[int, ...]], list[dict[int, Fraction]], list[Fraction]]:
     """(states, rows, initial) of the chain of running products under `tail`.
 
-    The breadth-first search over composed images: the states start with the
-    tail support in image order, and each level appends, in image order, the
-    products of the last level with a tail factor on the right that are not
-    states yet.  rows[i] maps each successor of state i to its weight, and
-    initial puts each tail weight on its state.
+    The breadth-first search over composed images from the law `start`, by
+    default the tail itself: the states start with its support in image
+    order, and each level appends, in image order, the products of the last
+    level with a tail factor on the right that are not states yet.  rows[i]
+    maps each successor of state i to its weight, and initial puts each
+    weight of `start` on its state.
     """
-    states = sorted(tail)
+    start = tail if start is None else start
+    states = sorted(start)
     index = {s: i for i, s in enumerate(states)}
     frontier = list(states)
     while frontier:
@@ -143,7 +145,7 @@ def product_chain_reference(
             j = index[compose_images(s, t)]
             row[j] = row.get(j, Fraction(0)) + w
         rows.append(row)
-    return states, rows, [tail.get(s, Fraction(0)) for s in states]
+    return states, rows, [start.get(s, Fraction(0)) for s in states]
 
 
 def strongness_residuals_reference(noise, family, depth: int, budget: int):
@@ -353,40 +355,26 @@ def absorption_time_reference(
 def exact_absorption_reference(comp) -> tuple[Fraction | None, Fraction]:
     """(E[T], P(T = infinity)) from the fundamental matrix over every closure id.
 
-    `comp` is a `tsl.montecarlo._Compiled`.  The same steps as the library's
-    solve, on the tail rows of the whole closure instead of the products
-    reachable from the law after the prefix.
+    `comp` is a `tsl.montecarlo._Compiled`.  The same `absorption` solve as
+    the library's, on the tail rows of the whole closure instead of the
+    products reachable from the law after the prefix.
     """
     noise = comp.noise
-    m = len(comp.elements)
     *earlier, law = noise.product_laws(max(comp.prefix_len, 1))
     head = Fraction(0)
     for stage, seen in zip(comp.stages, earlier):
         head += sum(w for i, w in seen.items() if i not in stage.absorbing)
-    out = [noise.step({p: Fraction(1)}, noise.atom_ids[-1]) for p in range(m)]
+    out = noise.tail_rows(range(len(comp.elements)))
     classes = closed_classes([sorted(row) for row in out])
-    absorbing = {members[0] for members in classes if len(members) == 1}
-    never = {v for members in classes if len(members) > 1 for v in members}
-    transient = [i for i in range(m) if i not in absorbing and i not in never]
-    pos, identity_minus_q, (into_never,) = transient_system(
-        out, transient, dict.fromkeys(never, 0), 1
-    )
-    hit_never, expected = solve_linear(
-        identity_minus_q, [into_never, [Fraction(1)] * len(transient)]
-    )
-    infinite = Fraction(0)
-    total = Fraction(1) + head
-    for s, w in law.items():
-        if s in absorbing:
-            continue
-        if s in never:
-            infinite += w
-        else:
-            infinite += w * hit_never[pos[s]]
-            total += w * expected[pos[s]]
+    targets = [
+        [v for members in classes if len(members) == 1 for v in members],
+        [v for members in classes if len(members) > 1 for v in members],
+    ]
+    initial = [law.get(i, Fraction(0)) for i in range(len(out))]
+    _, (_, infinite), steps = absorption(out, targets, initial)
     if infinite != 0:
         return None, infinite
-    return total, Fraction(0)
+    return 1 + head + steps, Fraction(0)
 
 
 def generate_closure_reference(space, generators, cap=None) -> FiniteSemigroup:

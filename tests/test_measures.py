@@ -94,7 +94,6 @@ def test_mix_is_exact_and_checks_carriers():
     b = ProbMeasure.uniform(STATES, [0, 1])
     mixed = mix([a, b], [Fraction(1, 3), Fraction(2, 3)])
     assert mixed.atoms == ((0, Fraction(2, 3)), (1, THIRD))
-    assert a.mix_with([b], [HALF, HALF]) == mix([a, b], [HALF, HALF])
     with pytest.raises(CarrierMismatchError):
         mix([a, ProbMeasure.point(ELEMENTS, GEN_A)], [HALF, HALF])
 

@@ -25,6 +25,7 @@ from tsl import (
     stopping_time_stats,
     tv_distance,
 )
+from tsl.measures import tail_chain
 
 from helpers import element_measure
 from oracles import (
@@ -32,6 +33,7 @@ from oracles import (
     dense_absorption,
     dense_stationary,
     product_chain_reference,
+    stagewise_product_law,
 )
 
 COMMON = settings(max_examples=120, derandomize=True, deadline=None)
@@ -229,3 +231,34 @@ def test_product_chain_matches_the_object_level_search(batch):
     assert [s.image for s in chain.states] == states
     assert [dict(row) for row in chain.rows] == rows
     assert list(chain.initial) == initial
+
+
+@COMMON
+@given(st.integers(1, 3).flatmap(lambda count: measure_batch(count, max_states=3)))
+# a group tail behind a prefix that reaches 3 of the 27 closure ids
+@example(
+    _absorption_case(
+        3,
+        {(1, 0, 2): "1/2", (0, 2, 1): "1/2"},
+        {(0, 0, 1): 1},
+        {(1, 0, 2): "1/2", (0, 2, 1): "1/2"},
+        {(0, 2, 1): 1},
+    )
+)
+def test_tail_chain_from_the_law_after_the_prefix_matches_the_object_level_search(batch):
+    # the walk simulate's exact absorption time takes: from the law of the
+    # product of the prefix factors (of the first factor when there is none)
+    _, (tail, *prefix), _ = batch
+    noise = NoiseSpec(tail, tuple(prefix))
+
+    def images(m: ProbMeasure) -> dict:
+        return {e.image: w for e, w in m.atoms}
+
+    start = stagewise_product_law(
+        [images(m) for m in prefix], images(tail), max(len(prefix), 1)
+    )
+    index = noise.closure.element_index
+    ids, out = tail_chain(noise, {index[TransformationElement(s)]: w for s, w in start.items()})
+    states, rows, _ = product_chain_reference(images(tail), start)
+    assert ids == [index[TransformationElement(s)] for s in states]
+    assert out == rows

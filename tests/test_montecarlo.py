@@ -12,6 +12,7 @@ from tsl import (
     ProbMeasure,
     SimConfig,
     SplitMix64,
+    StateSpace,
     TransformationElement,
     ci_coupling,
     compose,
@@ -40,6 +41,7 @@ from helpers import (
     two_map_noise,
 )
 from oracles import (
+    absorption_time_reference,
     apply_law,
     convolution_power,
     splitmix64_reference,
@@ -99,8 +101,6 @@ def test_sim_config_validation():
         SimConfig(trials=0)
     with pytest.raises(ValueError):
         SimConfig(seed=-1)
-    with pytest.raises(ValueError):
-        SimConfig(rng="mersenne")
 
 
 # ------------------------------------------------------------------- paths
@@ -311,6 +311,21 @@ def test_stopping_time_with_prefix_counts_the_remaining_factors():
     assert abs(stats.empirical_mean - float(stats.exact_mean)) <= max(
         3 * stats.empirical_stderr, 1e-12
     )
+
+
+@pytest.mark.parametrize(
+    "images, expected",
+    [(((1, 2, 3, 0), (0, 0, 0, 3)), 7), (((1, 2, 3, 0), (0, 0, 2, 3)), 20)],
+    ids=["cyc4-rank2", "cyc4-rank3"],
+)
+def test_stopping_time_on_four_states_matches_the_definition(images, expected):
+    # the benchmark's four-state carriers: the 4-cycle and a rank-2 or rank-3
+    # map, 1/2 each
+    tail = dict.fromkeys(images, HALF)
+    noise = NoiseSpec(element_measure(StateSpace.of_size(4), tail))
+    stats = stopping_time_stats(noise, SimConfig(depth=1, trials=1))
+    assert (stats.exact_mean, stats.infinite_mass) == (expected, 0)
+    assert absorption_time_reference([], tail) == (expected, 0)
 
 
 def test_stopping_time_stats_builds_one_closure(monkeypatch):
