@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import AmbiguityError, CapacityError, DimensionError
 
@@ -117,83 +117,109 @@ def constant_element(space: StateSpace, target: int) -> TransformationElement:
 
 @dataclass(frozen=True)
 class FiniteSemigroup:
-    """A finite semigroup given by its Cayley table.
+    """A finite transformation semigroup stored as its right Cayley graph.
 
-    ``cayley[a][b]`` is the id of the product (element a) * (element b).
-    Transformation-backed semigroups carry their elements and state space;
-    abstract table-only semigroups leave both as None, and operations that
-    need the action raise on them.
+    ``right[a][j]`` is the id of (element a) * (element ``generators[j]``):
+    n*|G| entries, the representation of Froidure and Pin (1997).  The full
+    table ``cayley[a][b]``, the id of a * b, is derived from it on first read;
+    only the subgroup search, over ambient semigroups under its cap, reads it.
     """
 
-    cayley: tuple[tuple[int, ...], ...]
+    right: tuple[tuple[int, ...], ...]
     generators: tuple[int, ...]
-    elements: Optional[tuple[TransformationElement, ...]] = None
-    space: Optional[StateSpace] = None
+    elements: tuple[TransformationElement, ...]
+    space: StateSpace
 
     def __post_init__(self):
-        n = len(self.cayley)
+        n, k = len(self.elements), len(self.generators)
         if n == 0:
             raise ValueError("semigroup must be non-empty")
-        for row in self.cayley:
-            if len(row) != n or any(not 0 <= v < n for v in row):
-                raise ValueError("Cayley table must be square over element ids")
-        if self.elements is not None and len(self.elements) != n:
-            raise ValueError("element list does not match Cayley table size")
-        if not self.generators:
+        if k == 0:
             raise ValueError("generator list must be non-empty")
         for g in self.generators:
             if not 0 <= g < n:
                 raise ValueError(f"generator id {g} out of range")
-
-    @classmethod
-    def from_cayley(
-        cls,
-        cayley: Sequence[Sequence[int]],
-        generators: Optional[Sequence[int]] = None,
-    ) -> "FiniteSemigroup":
-        """Build an abstract semigroup from a raw table, checking associativity."""
-        table = tuple(tuple(row) for row in cayley)
-        n = len(table)
-        if generators is None:
-            generators = tuple(range(n))
-        sg = cls(table, tuple(generators))
-        for a, b, c in itertools.product(range(n), repeat=3):
-            if table[table[a][b]][c] != table[a][table[b][c]]:
-                raise ValueError(f"table is not associative at ({a},{b},{c})")
-        return sg
+        if len(self.right) != n or any(
+            len(row) != k or min(row) < 0 or max(row) >= n for row in self.right
+        ):
+            raise ValueError("right Cayley graph must be n rows of |G| element ids")
 
     @property
     def size(self) -> int:
-        return len(self.cayley)
+        return len(self.elements)
 
     def mul(self, a: int, b: int) -> int:
         return self.cayley[a][b]
 
+    def _left_rows(self, ids: Iterable[int]) -> Iterator[tuple[int, ...]]:
+        """Row a of the full table, a * b for every b, for each a in ``ids``.
+
+        Each row is n lookups along a breadth-first spelling b = p * g_j of
+        every element from the generators: a * b = (a * p) * g_j.
+        """
+        right, gens = self.right, self.generators
+        found = list(dict.fromkeys(gens))
+        known = set(found)
+        steps = []  # (b, p, j) with b = p * g_j, p spelled before b
+        for p in found:  # a growing queue
+            for j, b in enumerate(right[p]):
+                if b not in known:
+                    known.add(b)
+                    found.append(b)
+                    steps.append((b, p, j))
+        if len(found) != self.size:
+            raise ValueError("the generators do not generate every element")
+        for a in ids:
+            row = [0] * self.size
+            for j, g in enumerate(gens):
+                row[g] = right[a][j]
+            for b, p, j in steps:
+                row[b] = right[row[p]][j]
+            yield tuple(row)
+
+    @cached_property
+    def cayley(self) -> tuple[tuple[int, ...], ...]:
+        """The full table, ``cayley[a][b]`` = id of a * b: n^2 entries."""
+        return tuple(self._left_rows(range(self.size)))
+
     @cached_property
     def element_index(self) -> Mapping[TransformationElement, int]:
-        if self.elements is None:
-            raise ValueError("semigroup has no transformation elements")
         return {e: i for i, e in enumerate(self.elements)}
 
     def element(self, i: int) -> TransformationElement:
-        if self.elements is None:
-            raise ValueError("semigroup has no transformation elements")
         return self.elements[i]
 
     @cached_property
     def idempotent_ids(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.size) if self.mul(i, i) == i)
+        return tuple(i for i, e in enumerate(self.elements) if compose(e, e) == e)
 
     @cached_property
     def power_sets(self) -> tuple[frozenset[int], ...]:
-        """The iteration of :func:`power_core`, run once per semigroup."""
-        everything = range(self.size)
-        powers = [frozenset(everything)]
+        """The iteration of :func:`power_core`, run once per semigroup.
+
+        ``current * S`` is the right ideal generated by ``current * G``: a
+        breadth-first walk over the right Cayley graph.
+        """
+        right = self.right
+        powers = [frozenset(range(self.size))]
         while True:
-            nxt = frozenset(self.mul(a, b) for a in powers[-1] for b in everything)
+            start = {b for a in powers[-1] for b in right[a]}
+            nxt = frozenset(_reach(start, right.__getitem__))
             if nxt == powers[-1]:
                 return tuple(powers)
             powers.append(nxt)
+
+
+def _reach(start: Iterable[int], successors) -> set[int]:
+    """``start`` and every id reachable from it, breadth first."""
+    found = list(dict.fromkeys(start))
+    known = set(found)
+    for x in found:  # a growing queue
+        for y in successors(x):
+            if y not in known:
+                known.add(y)
+                found.append(y)
+    return known
 
 
 def _compose_images(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -208,10 +234,11 @@ def generate_closure(
     """Close a generator list under composition (Froidure and Pin, 1997).
 
     Reports index elements in this order: the generators (given order,
-    deduplicated), then rounds r = 1, 2, ... sorted by image list, round r
-    holding the elements whose shortest word has length L, ceil(log2 L) = r.
-    Cost: n*|G| compositions give the right Cayley graph, then the table is
-    n^2 lookups in it.  The element past ``cap`` raises CapacityError.
+    deduplicated) as ids 0..k-1, so generator column j is element j, then
+    rounds r = 1, 2, ... sorted by image list, round r holding the elements
+    whose shortest word has length L, ceil(log2 L) = r.  Cost: n*|G|
+    compositions give the right Cayley graph, which is what the semigroup
+    stores.  The element past ``cap`` raises CapacityError.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -222,47 +249,39 @@ def generate_closure(
             )
     gens = tuple(dict.fromkeys(g.image for g in generators))
     k = len(gens)
-    # x = parent[x] * gens[last[x]] for x >= k, in length[x] letters;
-    # right[x * k + j] = x * gens[j]
-    images, index, length, parent, last, right = [], {}, [], [], [], []
+    # length[x] letters spell x; right[x * k + j] = x * gens[j]
+    images, index, length, right = [], {}, [], []
 
-    def insert(image, size, prefix, letter):
+    def insert(image, size):
         if cap is not None and len(images) >= cap:
             raise CapacityError(f"closure exceeded the cap of {cap} elements", cap=cap)
         index[image] = len(images)
         images.append(image)
         length.append(size)
-        parent.append(prefix)
-        last.append(letter)
 
-    for j, g in enumerate(gens):
-        insert(g, 1, None, j)
+    for g in gens:
+        insert(g, 1)
     for x, image in enumerate(images):  # a growing queue
-        for j, g in enumerate(gens):
+        for g in gens:
             p = _compose_images(image, g)
             if p not in index:
-                insert(p, length[x] + 1, x, j)
+                insert(p, length[x] + 1)
             right.append(index[p])
     n = len(images)
     order = [*range(k)] + sorted(
         range(k, n), key=lambda x: ((length[x] - 1).bit_length(), images[x])
     )
     pos = sorted(range(n), key=order.__getitem__)  # the inverse of order
-    right = [[pos[y] for y in right[x * k : x * k + k]] for x in order]
-    steps = [(pos[b], pos[parent[b]], last[b]) for b in range(k, n)]
-    cayley = []
-    for a in range(n):
-        row = right[a] + [0] * (n - k)
-        for b, p, j in steps:
-            row[b] = right[row[p]][j]
-        cayley.append(tuple(row))
-        del row  # else each row leaves a heap hole
+    right = tuple(tuple(pos[y] for y in right[x * k : x * k + k]) for x in order)
     elements = tuple(TransformationElement(images[x]) for x in order)
-    return FiniteSemigroup(tuple(cayley), tuple(range(k)), elements, space)
+    return FiniteSemigroup(right, tuple(range(k)), elements, space)
 
 
 def full_transformation_monoid(space: StateSpace, cap: Optional[int] = None) -> FiniteSemigroup:
-    """All n^n maps on the space, ordered image-list lexicographically."""
+    """All n^n maps on the space, ordered image-list lexicographically.
+
+    Every element is a generator, so the right Cayley graph is the full table.
+    """
     n = space.size
     total = n**n
     if cap is not None and total > cap:
@@ -275,10 +294,8 @@ def full_transformation_monoid(space: StateSpace, cap: Optional[int] = None) -> 
         TransformationElement(img) for img in itertools.product(range(n), repeat=n)
     )
     index = {e: i for i, e in enumerate(elements)}
-    cayley = tuple(
-        tuple(index[compose(a, b)] for b in elements) for a in elements
-    )
-    return FiniteSemigroup(cayley, tuple(range(total)), elements, space)
+    right = tuple(tuple(index[compose(a, b)] for b in elements) for a in elements)
+    return FiniteSemigroup(right, tuple(range(total)), elements, space)
 
 
 def power_core(sg: FiniteSemigroup) -> tuple[tuple[frozenset[int], ...], frozenset[int]]:
@@ -294,8 +311,6 @@ def power_core(sg: FiniteSemigroup) -> tuple[tuple[frozenset[int], ...], frozens
 
 def core_orbit(sg: FiniteSemigroup) -> frozenset[int]:
     """States reachable under the power core: {sigma(x) : sigma in core, x in S}."""
-    if sg.elements is None or sg.space is None:
-        raise ValueError("core_orbit needs a transformation-backed semigroup")
     _, core = power_core(sg)
     return frozenset(
         sg.elements[i].image[x] for i in core for x in range(sg.space.size)
@@ -308,8 +323,6 @@ def power_orbit_intersection(sg: FiniteSemigroup) -> frozenset[int]:
     Independent route to the same set as :func:`core_orbit`; the two are
     compared in tests as an equality check on the underlying lemma.
     """
-    if sg.elements is None or sg.space is None:
-        raise ValueError("power_orbit_intersection needs transformation elements")
     powers, _ = power_core(sg)
     states = frozenset(range(sg.space.size))
     result = states
@@ -336,8 +349,6 @@ class ElementClassification:
 
 
 def classify_elements(sg: FiniteSemigroup) -> ElementClassification:
-    if sg.elements is None:
-        raise ValueError("classify_elements needs a transformation-backed semigroup")
     target = {i: e.image[0] for i, e in enumerate(sg.elements) if e.is_constant()}
     return ElementClassification(
         frozenset(i for i, e in enumerate(sg.elements) if e.is_injective()),
@@ -347,27 +358,25 @@ def classify_elements(sg: FiniteSemigroup) -> ElementClassification:
 
 
 def is_left_cancellative(sg: FiniteSemigroup) -> bool:
-    """True iff every row of the Cayley table is injective.
+    """True iff a*b1 = a*b2 forces b1 = b2, i.e. every table row is injective.
 
-    Row a lists the products a*b over all b, so row injectivity says
-    a*b1 = a*b2 forces b1 = b2.
+    Left multiplication by a product is the composite of its factors' left
+    multiplications, so it is enough to check the generators' rows.
     """
-    n = sg.size
-    return all(len(set(sg.cayley[a])) == n for a in range(n))
+    return all(len(set(row)) == sg.size for row in sg._left_rows(sg.generators))
 
 
 @dataclass(frozen=True)
 class SubgroupDescriptor:
     """A subgroup inside a host semigroup, by member ids.
 
-    ``elements`` carries the transformation forms when the host has them,
-    in member-id order, so callers can act with the subgroup without holding
-    the host table.
+    ``elements`` carries the transformation forms in member-id order, so
+    callers can act with the subgroup without holding the host.
     """
 
     member_ids: tuple[int, ...]
     identity_id: int
-    elements: Optional[tuple[TransformationElement, ...]] = None
+    elements: tuple[TransformationElement, ...]
 
     def __post_init__(self):
         if tuple(sorted(self.member_ids)) != self.member_ids:
@@ -384,8 +393,6 @@ class SubgroupDescriptor:
         return self.order == 1
 
     def identity_element(self) -> TransformationElement:
-        if self.elements is None:
-            raise ValueError("subgroup has no transformation elements")
         return self.elements[self.member_ids.index(self.identity_id)]
 
 
@@ -419,16 +426,7 @@ def is_subgroup(sg: FiniteSemigroup, members: Iterable[int]) -> Optional[int]:
 
 
 def _closure_ids(sg: FiniteSemigroup, seed: Sequence[int]) -> frozenset[int]:
-    # right multiples of the seed, breadth first
-    known = set(seed)
-    found = list(known)
-    for x in found:  # a growing queue
-        for g in seed:
-            p = sg.mul(x, g)
-            if p not in known:
-                known.add(p)
-                found.append(p)
-    return frozenset(known)
+    return frozenset(_reach(seed, lambda x: [sg.mul(x, g) for g in seed]))
 
 
 def _cycle_part(sg: FiniteSemigroup, g: int) -> frozenset[int]:
@@ -475,13 +473,10 @@ def find_subgroups(
         for combo in itertools.combinations(range(sg.size), r):
             consider(_closure_ids(sg, combo))
 
-    descriptors = []
-    for key in sorted(found, key=lambda k: (len(k), k)):
-        elems = None
-        if sg.elements is not None:
-            elems = tuple(sg.elements[i] for i in key)
-        descriptors.append(SubgroupDescriptor(key, found[key], elems))
-    return tuple(descriptors)
+    return tuple(
+        SubgroupDescriptor(key, found[key], tuple(sg.elements[i] for i in key))
+        for key in sorted(found, key=lambda k: (len(k), k))
+    )
 
 
 @dataclass(frozen=True)

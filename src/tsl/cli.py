@@ -354,7 +354,6 @@ def _analysis_payload(
 ) -> dict:
     noise = compiled.noise
     closure = noise.closure
-    assert closure.elements is not None
     kinds = classify_elements(closure)
     powers, core = power_core(closure)
     labels = [compiled.element_label(e) for e in closure.elements]
@@ -411,7 +410,7 @@ def _analysis_payload(
                     "order": limit.p2_subgroup.order,
                     "members": [
                         compiled.element_label(e)
-                        for e in (limit.p2_subgroup.elements or ())
+                        for e in limit.p2_subgroup.elements
                     ],
                 }
                 if limit.p2_subgroup is not None

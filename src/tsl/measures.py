@@ -223,8 +223,6 @@ def is_right_invariant(nu: ProbMeasure, subgroup: SubgroupDescriptor) -> bool:
     """True iff the pushforward by every right factor from the subgroup fixes nu."""
     if nu.carrier.kind != "element":
         raise CarrierMismatchError("right invariance is about element measures")
-    if subgroup.elements is None:
-        raise ValueError("subgroup carries no transformation elements")
     for h in subgroup.elements:
         if nu.pushforward(lambda sigma: compose(sigma, h)) != nu:
             return False
@@ -289,10 +287,10 @@ class NoiseSpec:
 
     def step(self, law: Mapping[int, Fraction], atoms: Sequence) -> dict[int, Fraction]:
         """Exact law after one more factor, multiplied on the right, from `atoms`."""
-        cayley = self.closure.cayley
+        right = self.closure.right
         out: dict[int, Fraction] = {}
         for p, w in law.items():
-            row = cayley[p]
+            row = right[p]
             for f, wf in atoms:
                 out[row[f]] = out.get(row[f], Fraction(0)) + w * wf
         return out
@@ -605,7 +603,6 @@ class LimitLawReport:
 def _coset_of(
     sigma: TransformationElement, subgroup: SubgroupDescriptor
 ) -> frozenset[TransformationElement]:
-    assert subgroup.elements is not None
     return frozenset(compose(sigma, h) for h in subgroup.elements)
 
 
@@ -615,8 +612,6 @@ def _subgroup_qualifies(
     nu: ProbMeasure,
     window: Sequence[tuple[int, ProbMeasure]],
 ) -> Optional[P2Certificate]:
-    if subgroup.elements is None:
-        return None
     # (i) the coset observable is constant on every reachable recurrent
     # class, so the coset-valued products converge almost surely.
     for cls in chain.recurrent_classes:

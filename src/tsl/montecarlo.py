@@ -150,18 +150,19 @@ class _Stage(NamedTuple):
 class _Compiled:
     """Sampling tables for one noise spec: stages, products, actions.
 
-    Ids index `NoiseSpec.closure`, built once per spec.  ``stages[m]`` is the
-    draw of the factor at time -m for m below the prefix length; the last
-    stage serves every later time, from the tail.  Exact laws are stepped by
-    `NoiseSpec.step` instead.
+    Ids index `NoiseSpec.closure`, built once per spec.  Atom ids are also
+    the generator columns of its right Cayley graph ``right``, since
+    `generate_closure` numbers the distinct support elements 0..k-1.
+    ``stages[m]`` is the draw of the factor at time -m for m below the prefix
+    length; the last stage serves every later time, from the tail.  Exact laws
+    are stepped by `NoiseSpec.step` instead.
     """
 
     def __init__(self, noise: NoiseSpec):
         self.noise = noise
         closure = noise.closure
-        assert closure.elements is not None
         self.elements = closure.elements
-        self.cayley = closure.cayley
+        self.right = closure.right
         self.action = tuple(e.image for e in self.elements)
         self.prefix_len = plen = noise.prefix_length
         stages = []
@@ -177,7 +178,7 @@ class _Compiled:
         return frozenset(
             i
             for i in range(len(self.elements))
-            if all(self.cayley[i][f] == i for f in factor_ids)
+            if all(self.right[i][f] == i for f in factor_ids)
         )
 
     def plan(self, depth: int) -> list[_Stage]:
@@ -198,7 +199,7 @@ class _Compiled:
         """
         plan = self.plan(depth)
         # one extra row for "no factor yet": it maps each factor to itself
-        table = (*self.cayley, tuple(range(len(self.elements))))
+        table = (*self.right, tuple(range(len(self.right[0]))))
         start = len(self.elements)
 
         # The same loop without the absorption test: on group carriers, where
@@ -295,11 +296,11 @@ def simulate_paths(
     if entry is not None:
         entry_tables = _entry_sampler(_as_entry_measure(noise, entry))
     plan = comp.plan(cfg.depth)
-    cayley = comp.cayley
+    right = comp.right
     for trial in range(cfg.trials):
         rng = trial_stream(cfg.seed, trial)
         ids = [stage.ids[bisect_right(stage.breaks, rng.next_u64())] for stage in plan]
-        product_ids = list(accumulate(ids, lambda p, f: cayley[p][f]))
+        product_ids = list(accumulate(ids, lambda p, f: right[p][f]))
         absorbed = next(
             (
                 t

@@ -742,7 +742,7 @@ def classify(
             )
     elif limit.p2_subgroup is not None:
         subgroup = limit.p2_subgroup
-        assert subgroup.elements is not None and limit.nu is not None
+        assert limit.nu is not None
         effective = generate_closure(
             noise.space, list(noise.support_elements()) + list(subgroup.elements)
         )

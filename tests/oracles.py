@@ -17,7 +17,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 
-from tsl import CapacityError, FiniteSemigroup, compose, convolve
+from tsl import CapacityError, compose, convolve
 from tsl.measures import absorption, closed_classes
 
 _M64 = (1 << 64) - 1
@@ -148,6 +148,29 @@ def product_chain_reference(
     return states, rows, [start.get(s, Fraction(0)) for s in states]
 
 
+def kernel_classes_reference(tail: list[tuple[int, ...]]) -> set[frozenset]:
+    """The minimum-rank products of tail factors, grouped by image set.
+
+    These are the recurrent classes of the right walk, found without a
+    chain: the walk's closed classes are the minimal right ideals x S, which
+    lie in the kernel, and the kernel of a finite transformation semigroup is
+    its set of minimum-rank elements, where x S holds the elements with the
+    image of x (Rees-Suschkewitsch; Ganyushkin and Mazorchuk, *Classical
+    Finite Transformation Semigroups*, 2009).
+    """
+    products = set(tail)
+    frontier = list(tail)
+    while frontier:
+        frontier = list({compose_images(s, t) for s in frontier for t in tail} - products)
+        products.update(frontier)
+    rank = min(len(set(s)) for s in products)
+    groups: dict[frozenset, set] = {}
+    for s in products:
+        if len(set(s)) == rank:
+            groups.setdefault(frozenset(s), set()).add(s)
+    return {frozenset(g) for g in groups.values()}
+
+
 def strongness_residuals_reference(noise, family, depth: int, budget: int):
     """The (depth, residual) checkpoints of a strongness witness, by `convolve`.
 
@@ -218,14 +241,17 @@ def three_state_absorption_tail(steps: int) -> Fraction:
     return Fraction(1, 2 ** (steps - 1))
 
 
-def dense_solve(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Gauss-Jordan over Fractions on a dense square system.
+def dense_solve(
+    rows: list[list[Fraction]], rhss: list[list[Fraction]]
+) -> list[list[Fraction]]:
+    """Gauss-Jordan over Fractions on a dense square system, one solution per rhs.
 
+    All right-hand sides ride along as extra columns of one elimination.
     Raises ValueError on a singular system.  This is the dense routine the
     library's sparse solver replaced; it stays here as the reference.
     """
     n = len(rows)
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(rows)]
+    aug = [list(row) + [rhs[i] for rhs in rhss] for i, row in enumerate(rows)]
     for col in range(n):
         pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if pivot is None:
@@ -233,11 +259,15 @@ def dense_solve(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fractio
         aug[col], aug[pivot] = aug[pivot], aug[col]
         scale = aug[col][col]
         aug[col] = [v / scale for v in aug[col]]
+        # the pivot row's zeros leave every other row as it is
+        nonzero = [(c, v) for c, v in enumerate(aug[col]) if v]
         for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
+            f = aug[r][col]
+            if r != col and f:
+                row = aug[r]
+                for c, v in nonzero:
+                    row[c] -= f * v
+    return [[aug[i][n + k] for i in range(n)] for k in range(len(rhss))]
 
 
 def dense_stationary(
@@ -253,28 +283,34 @@ def dense_stationary(
         for j, vj in enumerate(members)
     ]
     system[m - 1] = [Fraction(1)] * m
-    return dense_solve(system, [Fraction(0)] * (m - 1) + [Fraction(1)])
+    (pi,) = dense_solve(system, [[Fraction(0)] * (m - 1) + [Fraction(1)]])
+    return pi
 
 
 def dense_absorption(
     transitions: list[list[Fraction]],
     initial: list[Fraction],
     transient: list[int],
-    members: list[int],
-) -> Fraction:
-    """P(the chain started from `initial` ends in the closed class `members`).
+    classes: list[list[int]],
+) -> list[Fraction]:
+    """P(the chain started from `initial` ends in each closed class of `classes`).
 
-    h = Q h + r on the transient states, r the one-step weight into the class.
+    h = Q h + r on the transient states, one r per class: the one-step weight
+    into it.  One elimination solves for every class.
     """
-    m = len(transient)
     system = [
         [(1 if i == j else 0) - transitions[s][t] for j, t in enumerate(transient)]
         for i, s in enumerate(transient)
     ]
-    rhs = [sum((transitions[s][t] for t in members), Fraction(0)) for s in transient]
-    hit = dense_solve(system, rhs) if m else []
-    total = sum((initial[v] for v in members), Fraction(0))
-    return total + sum((initial[s] * h for s, h in zip(transient, hit)), Fraction(0))
+    rhss = [
+        [sum((transitions[s][t] for t in members), Fraction(0)) for s in transient]
+        for members in classes
+    ]
+    return [
+        sum((initial[v] for v in members), Fraction(0))
+        + sum((initial[s] * h for s, h in zip(transient, hit)), Fraction(0))
+        for members, hit in zip(classes, dense_solve(system, rhss))
+    ]
 
 
 def absorption_time_reference(
@@ -342,12 +378,11 @@ def absorption_time_reference(
                 system[i][at[p]] -= w
             elif p in absorbing:
                 into_absorbing[i] += w
-    hit = dense_solve(system, into_absorbing) if unknown else []
+    hit, wait = dense_solve(system, [into_absorbing, [Fraction(1)] * len(unknown)])
     absorbed = sum((w for s, w in law.items() if s in absorbing), Fraction(0))
     absorbed += sum((w * hit[at[s]] for s, w in law.items() if s in at), Fraction(0))
     if absorbed != 1:
         return None, 1 - absorbed
-    wait = dense_solve(system, [Fraction(1)] * len(unknown)) if unknown else []
     after = sum((w * wait[at[s]] for s, w in law.items() if s in at), Fraction(0))
     return 1 + before + after, Fraction(0)
 
@@ -377,14 +412,14 @@ def exact_absorption_reference(comp) -> tuple[Fraction | None, Fraction]:
     return 1 + head + steps, Fraction(0)
 
 
-def generate_closure_reference(space, generators, cap=None) -> FiniteSemigroup:
-    """The closure of a generator list by rounds of all-pairs products.
+def generate_closure_reference(space, generators, cap=None):
+    """(elements, table, generator ids) of a closure, by rounds of all-pairs products.
 
     The generators come first (given order, deduplicated); each round then
     composes every pair of known elements and appends the new products in
-    image order, and the table composes every pair once more.  Raises the
-    library's CapacityError as soon as more than `cap` elements are known,
-    the generators included.
+    image order, and the table composes every pair once more, so
+    ``table[a][b]`` is the id of a * b.  Raises the library's CapacityError as
+    soon as more than `cap` elements are known, the generators included.
     """
 
     def check(count):
@@ -410,7 +445,7 @@ def generate_closure_reference(space, generators, cap=None) -> FiniteSemigroup:
     elements = tuple(order)
     cayley = tuple(tuple(index[compose(a, b)] for b in elements) for a in elements)
     generator_ids = tuple(dict.fromkeys(index[g] for g in generators))
-    return FiniteSemigroup(cayley, generator_ids, elements, space)
+    return elements, cayley, generator_ids
 
 
 def pick_reference(weights: dict, u: int):

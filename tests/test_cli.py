@@ -19,6 +19,7 @@ from tsl import (
     serialize_spec,
 )
 
+import tsl.cli
 import tsl.context
 import tsl.measures
 import tsl.montecarlo
@@ -293,6 +294,32 @@ def test_analyze_builds_the_noise_closure_once(capsys, specs_dir, monkeypatch):
     rc, _, _ = run(capsys, ["analyze", str(specs_dir / "three_state.tsl")])
     assert rc == 0
     assert len(calls) == 1
+
+
+def test_analyze_keeps_a_closure_past_the_subgroup_cap_as_its_right_graph(
+    capsys, tmp_path, monkeypatch
+):
+    # T4: a transposition, the 4-cycle and a rank-3 map generate all 256 maps
+    path = tmp_path / "t4.tsl"
+    path.write_text(
+        "space 4\ngen t = 2 1 3 4\ngen c = 2 3 4 1\ngen m = 1 1 3 4\n"
+        "noise iid t:1/3 c:1/3 m:1/3\n"
+    )
+    problems = []
+
+    def compile_and_keep(spec):
+        problems.append(compile_problem(spec))
+        return problems[-1]
+
+    monkeypatch.setattr(tsl.cli, "compile_problem", compile_and_keep)
+    for argv in (["analyze", str(path)], ["analyze", "--json", str(path)]):
+        rc, _, err = run(capsys, argv)
+        assert (rc, err) == (0, "")
+    assert len(problems) == 2
+    for compiled in problems:
+        closure = compiled.noise.closure
+        assert closure.size == 256
+        assert "cayley" not in closure.__dict__
 
 
 def test_analyze_refuses_an_over_cap_group_before_building_it(capsys, tmp_path, monkeypatch):

@@ -32,6 +32,7 @@ from oracles import (
     absorption_time_reference,
     dense_absorption,
     dense_stationary,
+    kernel_classes_reference,
     product_chain_reference,
     stagewise_product_law,
 )
@@ -159,17 +160,21 @@ def test_chain_solves_match_the_dense_reference(batch):
     _, (tail,), _ = batch
     chain = build_product_chain(NoiseSpec(tail))
     rows = chain.transitions
-    for cls in chain.recurrent_classes:
+    classes = chain.recurrent_classes
+    for cls in classes:
         members = list(cls.member_ids)
         pi = dict(cls.stationary)
         assert sum(pi.values()) == 1
         for j in members:
             assert sum(pi[i] * rows[i][j] for i in members) == pi[j]
         assert [pi[v] for v in members] == dense_stationary(rows, members)
-        assert cls.absorption == dense_absorption(
-            rows, list(chain.initial), list(chain.transient_ids), members
-        )
-    assert sum(c.absorption for c in chain.recurrent_classes) == 1
+    assert [cls.absorption for cls in classes] == dense_absorption(
+        rows,
+        list(chain.initial),
+        list(chain.transient_ids),
+        [list(cls.member_ids) for cls in classes],
+    )
+    assert sum(c.absorption for c in classes) == 1
 
 
 @COMMON
@@ -231,6 +236,24 @@ def test_product_chain_matches_the_object_level_search(batch):
     assert [s.image for s in chain.states] == states
     assert [dict(row) for row in chain.rows] == rows
     assert list(chain.initial) == initial
+
+
+@COMMON
+@given(st.integers(1, 3).flatmap(lambda count: measure_batch(count, max_states=3)))
+# perfbench's cyc4-rank3, and its cyc4-rank2 behind a prefix
+@example(_absorption_case(4, {(1, 2, 3, 0): "1/2", (0, 0, 2, 3): "1/2"}))
+@example(_absorption_case(4, {(1, 2, 3, 0): "1/2", (0, 0, 0, 3): "1/2"}, {(0, 0, 2, 3): 1}))
+def test_recurrent_classes_are_the_kernel_grouped_by_image(batch):
+    # products of tail factors are the chain's states; a prefix only widens
+    # the closure the chain's ids come from
+    _, (tail, *prefix), _ = batch
+    chain = build_product_chain(NoiseSpec(tail, tuple(prefix)))
+    classes = {
+        frozenset(chain.states[i] for i in cls.member_ids)
+        for cls in chain.recurrent_classes
+    }
+    kernel = kernel_classes_reference([e.image for e in tail.support])
+    assert classes == {frozenset(map(TransformationElement, g)) for g in kernel}
 
 
 @COMMON
