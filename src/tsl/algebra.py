@@ -84,9 +84,6 @@ class TransformationElement:
     def degree(self) -> int:
         return len(self.image)
 
-    def apply(self, x: int) -> int:
-        return self.image[x]
-
     def is_constant(self) -> bool:
         return len(set(self.image)) == 1
 
@@ -280,7 +277,9 @@ def generate_closure(
 def full_transformation_monoid(space: StateSpace, cap: Optional[int] = None) -> FiniteSemigroup:
     """All n^n maps on the space, ordered image-list lexicographically.
 
-    Every element is a generator, so the right Cayley graph is the full table.
+    Stored as the right Cayley graph over its classical generators: the
+    transposition of states 0 and 1, the n-cycle and the map sending 1 to 0,
+    deduplicated (on one state all three are the identity).
     """
     n = space.size
     total = n**n
@@ -293,9 +292,18 @@ def full_transformation_monoid(space: StateSpace, cap: Optional[int] = None) -> 
     elements = tuple(
         TransformationElement(img) for img in itertools.product(range(n), repeat=n)
     )
-    index = {e: i for i, e in enumerate(elements)}
-    right = tuple(tuple(index[compose(a, b)] for b in elements) for a in elements)
-    return FiniteSemigroup(right, tuple(range(total)), elements, space)
+    index = {e.image: i for i, e in enumerate(elements)}
+    second = min(1, n - 1)
+    swap, merge = list(range(n)), list(range(n))
+    swap[0], swap[second] = second, 0
+    merge[second] = 0
+    cycle = [(x + 1) % n for x in range(n)]
+    gens = tuple(dict.fromkeys(index[tuple(g)] for g in (swap, cycle, merge)))
+    right = tuple(
+        tuple(index[_compose_images(e.image, elements[g].image)] for g in gens)
+        for e in elements
+    )
+    return FiniteSemigroup(right, gens, elements, space)
 
 
 def power_core(sg: FiniteSemigroup) -> tuple[tuple[frozenset[int], ...], frozenset[int]]:
@@ -392,9 +400,6 @@ class SubgroupDescriptor:
     def is_trivial(self) -> bool:
         return self.order == 1
 
-    def identity_element(self) -> TransformationElement:
-        return self.elements[self.member_ids.index(self.identity_id)]
-
 
 def is_subgroup(sg: FiniteSemigroup, members: Iterable[int]) -> Optional[int]:
     """Check the group axioms on a subset; return the identity id or None.
@@ -449,7 +454,9 @@ def find_subgroups(
     Also includes, for every element g, the cycle part of its power orbit
     (a cyclic group even when the closure of {g} is not).  Trivial one-element
     subgroups at idempotents are included; callers filter on ``is_trivial``.
-    Raises CapacityError when the host exceeds ``cap`` elements.
+    Sorted by (order, member_ids), so the first non-trivial subgroup with a
+    property is a smallest one.  Raises CapacityError when the host exceeds
+    ``cap`` elements.
     """
     if sg.size > cap:
         raise CapacityError(

@@ -45,7 +45,6 @@ __all__ = [
     "ProductChain",
     "RecurrentClass",
     "LimitLawReport",
-    "P2Certificate",
     "element_carrier",
     "state_carrier",
     "convolve",
@@ -558,15 +557,6 @@ def stationary_on_class(
 
 
 @dataclass(frozen=True)
-class P2Certificate:
-    """Why a subgroup qualifies: the three exact checks, all true."""
-
-    coset_limit_constant: bool
-    right_invariant: bool
-    simply_transitive_on_support: bool
-
-
-@dataclass(frozen=True)
 class LimitLawReport:
     """Limit behavior of the backward products, all parts exact.
 
@@ -588,7 +578,6 @@ class LimitLawReport:
     cesaro_window: tuple[tuple[int, ProbMeasure], ...]
     p2_subgroup: Optional[SubgroupDescriptor]
     p2_qualifying: tuple[SubgroupDescriptor, ...]
-    p2_certificate: Optional[P2Certificate]
     p2_error: Optional[str]
 
     def window_law(self, k: int) -> ProbMeasure:
@@ -611,17 +600,17 @@ def _subgroup_qualifies(
     chain: ProductChain,
     nu: ProbMeasure,
     window: Sequence[tuple[int, ProbMeasure]],
-) -> Optional[P2Certificate]:
+) -> bool:
     # (i) the coset observable is constant on every reachable recurrent
     # class, so the coset-valued products converge almost surely.
     for cls in chain.recurrent_classes:
         cosets = {_coset_of(chain.states[i], subgroup) for i in cls.member_ids}
         if len(cosets) != 1:
-            return None
+            return False
     # (ii) the limit law is right invariant, exactly, at the tail and at
     # every represented window position.
     if not is_right_invariant(nu, subgroup):
-        return None
+        return False
     for _, m in window:
         if not is_right_invariant(m, subgroup):
             raise InternalInconsistencyError(
@@ -632,12 +621,11 @@ def _subgroup_qualifies(
     # draw over a free orbit.  This pins the canonical subgroup; without it
     # absorbing supports would let arbitrarily small subgroups qualify.
     support = [s for s in nu.support if isinstance(s, TransformationElement)]
-    for a in support:
-        for b in support:
-            hits = sum(1 for h in subgroup.elements if compose(h, a) == b)
-            if hits != 1:
-                return None
-    return P2Certificate(True, True, True)
+    return all(
+        sum(1 for h in subgroup.elements if compose(h, a) == b) == 1
+        for a in support
+        for b in support
+    )
 
 
 def limit_analysis(
@@ -646,7 +634,6 @@ def limit_analysis(
     *,
     window: int = 8,
     subgroup_cap: int = 64,
-    max_gen: int = 2,
 ) -> LimitLawReport:
     """Decide convergence of the backward products and describe the limits.
 
@@ -695,31 +682,21 @@ def limit_analysis(
     if as_convergence and not converges_in_law:
         raise InternalInconsistencyError("a.s. convergence without convergence in law")
 
-    p2_subgroup = None
     p2_qualifying: tuple[SubgroupDescriptor, ...] = ()
-    p2_certificate = None
     p2_error = None
     if nu is not None:
         try:
             ambient = context.ambient_semigroup(cap=subgroup_cap)
-            subgroups = find_subgroups(ambient, max_gen=max_gen, cap=subgroup_cap)
+            subgroups = find_subgroups(ambient, cap=subgroup_cap)
         except (CapacityError, UnsupportedCaseError) as exc:
             p2_error = str(exc)
             subgroups = ()
-        qualifying = []
-        certificates = {}
-        for sg in subgroups:
-            if sg.is_trivial:
-                continue
-            cert = _subgroup_qualifies(sg, chain, nu, nu_window or ())
-            if cert is not None:
-                qualifying.append(sg)
-                certificates[sg.member_ids] = cert
-        qualifying.sort(key=lambda s: (s.order, s.member_ids))
-        p2_qualifying = tuple(qualifying)
-        if qualifying:
-            p2_subgroup = qualifying[0]
-            p2_certificate = certificates[p2_subgroup.member_ids]
+        # find_subgroups sorts by (order, member_ids): the first is smallest
+        p2_qualifying = tuple(
+            sg
+            for sg in subgroups
+            if not sg.is_trivial and _subgroup_qualifies(sg, chain, nu, nu_window)
+        )
 
     report = LimitLawReport(
         noise=noise,
@@ -730,9 +707,8 @@ def limit_analysis(
         nu_window=nu_window,
         cesaro=cesaro,
         cesaro_window=cesaro_window,
-        p2_subgroup=p2_subgroup,
+        p2_subgroup=p2_qualifying[0] if p2_qualifying else None,
         p2_qualifying=p2_qualifying,
-        p2_certificate=p2_certificate,
         p2_error=p2_error,
     )
     if report.converges_in_law and report.nu != report.cesaro:

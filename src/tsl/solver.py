@@ -21,12 +21,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Literal, Mapping, Optional, Sequence
 
-from .algebra import (
-    SubgroupDescriptor,
-    TransformationElement,
-    generate_closure,
-    is_left_cancellative,
-)
+from .algebra import SubgroupDescriptor, TransformationElement
 from .context import ActionContext
 from .errors import (
     CapacityError,
@@ -311,7 +306,7 @@ def deterministic_translate_families(
     """Point-mass solutions for point-mass noise on a group carrier."""
     if not context.is_group:
         raise UnsupportedCaseError("translate families need a group carrier")
-    if any(len(m.support) != 1 for m in (noise.tail, *noise.prefix)):
+    if not _all_point_mass(noise):
         raise UnsupportedCaseError("translate families need point-mass noise")
     n = noise.space.size
 
@@ -649,7 +644,6 @@ def classify(
     *,
     window: int = 8,
     subgroup_cap: int = 64,
-    max_gen: int = 2,
     limit: Optional[LimitLawReport] = None,
 ) -> ClassificationReport:
     """Decision tree over the limit analysis.
@@ -657,16 +651,17 @@ def classify(
     Branch 1: almost-sure convergence makes every extremal solution strong;
     a synchronizing limit support upgrades to pathwise uniqueness, and an
     injective one is catalogued separately.  Branch 2: convergence modulo a
-    qualifying subgroup plus cancellativity hypotheses decides strongness
-    per family by whether some entry state has a singleton subgroup orbit.
+    qualifying subgroup decides strongness per family by whether some entry
+    state has a singleton subgroup orbit, under the hypotheses that the
+    semigroup generated by the noise support and the subgroup is left
+    cancellative and injective; for maps both hold iff every noise support
+    element and every subgroup element is a permutation.
     Branch 3: group carriers without convergence in law get the uniform
     solution and, when cyclic, the Fourier trichotomy.  Otherwise the
     classifier abstains explicitly rather than guess.
     """
     if limit is None:
-        limit = limit_analysis(
-            noise, context, window=window, subgroup_cap=subgroup_cap, max_gen=max_gen
-        )
+        limit = limit_analysis(noise, context, window=window, subgroup_cap=subgroup_cap)
     notes: list[str] = []
     fourier = (
         fourier_trichotomy(noise, context) if context.kind == "cyclic" else None
@@ -674,7 +669,8 @@ def classify(
     trichotomy = fourier.trichotomy if fourier is not None else None
 
     if limit.nu is not None:
-        extremals = extremal_solutions(noise, context, window=window, limit=limit)
+        entries = _entry_point_families(noise, limit.nu, limit.nu_window)
+        extremals = _dedupe(entries)
         certified = True
         notes.append(
             f"extremal solutions realized as entry-point families of the limit law "
@@ -742,30 +738,20 @@ def classify(
             )
     elif limit.p2_subgroup is not None:
         subgroup = limit.p2_subgroup
-        assert limit.nu is not None
-        effective = generate_closure(
-            noise.space, list(noise.support_elements()) + list(subgroup.elements)
-        )
-        left_canc = is_left_cancellative(effective)
-        all_injective = all(e.is_injective() for e in effective.elements)
-        if left_canc and all_injective:
-            candidates = _entry_point_families(noise, limit.nu, limit.nu_window)
-            anchors: dict[int, list[int]] = {}
-            reps: dict[int, SolutionLawFamily] = {}
-            for x, fam in candidates:
-                for idx, (_, kept) in enumerate(extremals):
-                    if kept.same_laws(fam):
-                        anchors.setdefault(idx, []).append(x)
-                        reps[idx] = kept
-                        break
-            strong_flags = []
-            for idx in range(len(extremals)):
-                orbit_sizes = [
-                    len({h.image[x] for h in subgroup.elements})
-                    for x in anchors.get(idx, [])
-                ]
-                strong_flags.append(any(size == 1 for size in orbit_sizes))
-            all_strong = all(strong_flags)
+        # Permutations generate only permutations, and a semigroup of
+        # permutations is left cancellative: both hypotheses at once.
+        if all(
+            e.is_injective()
+            for e in (*noise.support_elements(), *subgroup.elements)
+        ):
+            fixed = [
+                fam
+                for x, fam in entries
+                if len({h.image[x] for h in subgroup.elements}) == 1
+            ]
+            all_strong = all(
+                any(kept.same_laws(fam) for fam in fixed) for _, kept in extremals
+            )
             if all_strong:
                 notes.append(
                     f"every family has an entry state fixed by the subgroup: all "

@@ -93,6 +93,18 @@ def test_full_monoid_on_two_points_closes_at_four():
     assert sg.size == 4
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_full_monoid_is_generated_by_at_most_three_maps(n):
+    sg = full_transformation_monoid(StateSpace.of_size(n))
+    assert 1 <= len(sg.generators) <= 3
+    assert [e.image for e in sg.elements] == sorted(e.image for e in sg.elements)
+    assert sg.size == n**n
+    assert sg.cayley == tuple(
+        tuple(sg.element_index[compose(a, b)] for b in sg.elements)
+        for a in sg.elements
+    )
+
+
 # generators of the full transformation monoid on six states (46,656 maps)
 SIX = StateSpace.of_size(6)
 FULL_SIX_GENERATORS = [

@@ -195,6 +195,16 @@ def test_left_cancellative_agrees_with_table_scan(data):
 
 
 @COMMON
+@given(generator_sets())
+def test_cancellative_and_injective_iff_every_generator_is_a_permutation(data):
+    # classify's strongness branch tests only the generators
+    space, gens = data
+    sg = generate_closure(space, gens)
+    general = is_left_cancellative(sg) and all(e.is_injective() for e in sg.elements)
+    assert general == all(g.is_injective() for g in gens)
+
+
+@COMMON
 @given(generator_sets(size=3, max_gens=2))
 def test_found_subgroups_satisfy_group_axioms(data):
     space, gens = data
@@ -208,6 +218,16 @@ def test_found_subgroups_satisfy_group_axioms(data):
         assert sub.elements == tuple(sg.element(i) for i in sub.member_ids)
     for e in sg.idempotent_ids:
         assert (e,) in seen
+
+
+@COMMON
+@given(generator_sets(size=3, max_gens=2), st.integers(1, 2))
+def test_found_subgroups_are_sorted_by_order_then_members(data, max_gen):
+    # limit_analysis takes the first qualifying subgroup as the smallest
+    space, gens = data
+    subs = find_subgroups(generate_closure(space, gens), max_gen=max_gen, cap=64)
+    keys = [(sub.order, sub.member_ids) for sub in subs]
+    assert keys == sorted(keys)
 
 
 @COMMON

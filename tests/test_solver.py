@@ -36,7 +36,16 @@ from tsl import (
     uniform_solution,
 )
 
-from helpers import THREE, cyclic_noise, element_measure, three_ctx, two_map_noise
+import tsl.solver
+
+from helpers import (
+    THREE,
+    count_calls,
+    cyclic_noise,
+    element_measure,
+    three_ctx,
+    two_map_noise,
+)
 from oracles import (
     fourier_oracle,
     three_state_absorption_tail,
@@ -318,6 +327,33 @@ def test_classify_subgroup_branch_on_the_half_period_walk():
     assert report.pathwise_unique is False
     assert report.trichotomy == "C3"
     assert report.p2 is not None and report.p2.member_ids == (0, 2)
+
+
+def test_classify_builds_the_entry_point_families_once(monkeypatch):
+    ctx, noise = cyclic_noise(4, {0: HALF, 2: HALF})
+    calls = count_calls(monkeypatch, tsl.solver, "_entry_point_families")
+    report = classify(noise, ctx)
+    assert report.p2 is not None and report.all_extremal_strong is False
+    assert len(calls) == 1
+
+
+def test_classify_subgroup_branch_outside_the_cancellativity_hypotheses():
+    # the closure {a, b} is a group of order 2, hence left cancellative, but
+    # its maps are not injective
+    noise = NoiseSpec(element_measure(THREE, {(0, 0, 2): HALF, (2, 2, 0): HALF}))
+    report = classify(noise, three_ctx())
+    assert not report.p1
+    assert report.limit.converges_in_law
+    assert report.p2 is not None and report.p2.order == 2
+    assert report.unique_in_law
+    assert report.all_extremal_strong is None
+    assert report.pathwise_unique is None
+    assert report.notes == (
+        "extremal solutions realized as entry-point families of the limit law "
+        "(Lemma 4.1)",
+        "subgroup convergence holds but the cancellativity hypotheses fail; "
+        "outside the catalogued sufficient conditions",
+    )
 
 
 def test_classify_cyclic_point_mass_families():
