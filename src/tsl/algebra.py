@@ -451,12 +451,13 @@ def find_subgroups(
 ) -> tuple[SubgroupDescriptor, ...]:
     """All subgroups reachable as closures of at most ``max_gen`` elements.
 
-    Also includes, for every element g, the cycle part of its power orbit
-    (a cyclic group even when the closure of {g} is not).  Trivial one-element
-    subgroups at idempotents are included; callers filter on ``is_trivial``.
-    Sorted by (order, member_ids), so the first non-trivial subgroup with a
-    property is a smallest one.  Raises CapacityError when the host exceeds
-    ``cap`` elements.
+    For every element g the cycle part of its power orbit is taken: a cyclic
+    group even when the closure of {g} is not, and that closure itself when
+    it is a group, so only sets of 2..``max_gen`` elements are closed.
+    Trivial one-element subgroups at idempotents are included; callers filter
+    on ``is_trivial``.  Sorted by (order, member_ids), so the first
+    non-trivial subgroup with a property is a smallest one.  Raises
+    CapacityError when the host exceeds ``cap`` elements.
     """
     if sg.size > cap:
         raise CapacityError(
@@ -476,7 +477,8 @@ def find_subgroups(
 
     for g in range(sg.size):
         consider(_cycle_part(sg, g))
-    for r in range(1, max_gen + 1):
+    # the closure of {g} is a group only when it is g's cycle part, found above
+    for r in range(2, max_gen + 1):
         for combo in itertools.combinations(range(sg.size), r):
             consider(_closure_ids(sg, combo))
 

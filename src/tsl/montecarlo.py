@@ -8,21 +8,24 @@ ceil(c * 2^64) for the cumulative weights c, which is exactly the event
 u / 2^64 < c; no floating point enters the sampling path.
 
 Per trial the draw order is fixed: the noise for k = 0, -1, ..., -depth+1
-first, then any entry-state draws.  The estimators stop drawing noise once
-the running product is absorbed, that is, fixed by every factor that can
-still come: the remaining factors cannot change it.  Before any entry draw
-the stream is advanced in O(1) to where all depth noise draws would have
-left it (SplitMix64 adds GAMMA to its state per draw), so every result is
-the same as with all draws made.  `simulate_paths` still draws every
-factor, because it reports them.  `stopping_time_stats` runs each trial
-once and tallies both its product, by closure id, and its absorption time,
-so one pass gives the absorption times and, as its ``products``, the
-product law that `estimate_law` gives.  Estimators report empirical
-frequencies with binomial standard errors; exact references for the same
-quantities come from the measure layer, so tests can hold simulation against
-closed form at three sigma.  The exact absorption times walk the product
-chain with `measures.tail_chain` and solve it with `measures.absorption`, the
-walk and the solve that `build_product_chain` uses.
+first, then any entry-state draws.  The samplers and the trial kernel read
+`NoiseSpec.closure` directly: ids are closure ids, and products step along
+its right Cayley graph.  The estimators stop drawing noise once the running
+product is absorbed, that is, fixed by every factor that can still come: the
+remaining factors cannot change it.  Before the entry draws of the state
+observable and the coupling, all made by `_entry_runs`, the stream is
+advanced in O(1) to where all depth noise draws would have left it
+(SplitMix64 adds GAMMA to its state per draw), so every result is the same
+as with all draws made.  `simulate_paths` still draws every factor, because
+it reports them.  `stopping_time_stats` runs each trial once and tallies
+both its product, by closure id, and its absorption time, so one pass gives
+the absorption times and, as its ``products``, the product law that
+`estimate_law` gives.  Estimators report empirical frequencies with binomial
+standard errors; exact references for the same quantities come from the
+measure layer, so tests can hold simulation against closed form at three
+sigma.  The exact absorption times walk the product chain with
+`measures.tail_chain` and solve it with `measures.absorption`, the walk and
+the solve that `build_product_chain` uses.
 """
 
 from __future__ import annotations
@@ -117,25 +120,22 @@ class SimConfig:
             raise ValueError("seed must fit in 64 bits")
 
 
-class _Sampler:
-    """Exact inverse-CDF sampling via integer breakpoints."""
+def _sampler(atoms: Sequence[tuple[object, Fraction]]) -> tuple[list[int], list]:
+    """(breaks, keys) for exact inverse-CDF sampling of (key, weight) atoms.
 
-    __slots__ = ("breaks",)
-
-    def __init__(self, weights: Sequence[Fraction]):
-        cum = Fraction(0)
-        breaks = []
-        for w in weights:
-            cum += w
-            num, den = cum.numerator, cum.denominator
-            breaks.append(((num << 64) + den - 1) // den)
-        if breaks[-1] != 1 << 64:
-            raise InternalInconsistencyError("sampler weights do not sum to one")
-        self.breaks = breaks
-
-    def draw(self, rng: SplitMix64) -> int:
-        # the first i with u < breaks[i]; the last breakpoint exceeds every u
-        return bisect_right(self.breaks, rng.next_u64())
+    ``keys[bisect_right(breaks, u)]`` is the first key whose cumulative
+    weight exceeds u / 2^64: the last breakpoint, 2^64, exceeds every u.
+    """
+    cum = Fraction(0)
+    breaks, keys = [], []
+    for key, w in atoms:
+        cum += w
+        num, den = cum.numerator, cum.denominator
+        breaks.append(((num << 64) + den - 1) // den)
+        keys.append(key)
+    if breaks[-1] != 1 << 64:
+        raise InternalInconsistencyError("sampler weights do not sum to one")
+    return breaks, keys
 
 
 class _Stage(NamedTuple):
@@ -147,92 +147,83 @@ class _Stage(NamedTuple):
     absorbing: frozenset
 
 
-class _Compiled:
-    """Sampling tables for one noise spec: stages, products, actions.
+def _stages(noise: NoiseSpec) -> list[_Stage]:
+    """One `_Stage` per prefix time, then one for the tail.
 
-    Ids index `NoiseSpec.closure`, built once per spec.  Atom ids are also
-    the generator columns of its right Cayley graph ``right``, since
-    `generate_closure` numbers the distinct support elements 0..k-1.
-    ``stages[m]`` is the draw of the factor at time -m for m below the prefix
-    length; the last stage serves every later time, from the tail.  Exact laws
-    are stepped by `NoiseSpec.step` instead.
+    Ids index `NoiseSpec.closure`; ``stages[m]`` draws the factor at time -m,
+    the last stage every later one.  Atom ids are also generator columns of
+    ``closure.right`` (`generate_closure` numbers the distinct support
+    elements 0..k-1): the absorbing sets here and the kernel's products index
+    ``right`` by atom id.
     """
-
-    def __init__(self, noise: NoiseSpec):
-        self.noise = noise
-        closure = noise.closure
-        self.elements = closure.elements
-        self.right = closure.right
-        self.action = tuple(e.image for e in self.elements)
-        self.prefix_len = plen = noise.prefix_length
-        stages = []
-        later: set = set()  # ids of every factor after stage m, the tail's included
-        for m in range(plen, -1, -1):
-            later.update(i for i, _ in noise.atom_ids[min(m + 1, plen)])
-            breaks = _Sampler([w for _, w in noise.atom_ids[m]]).breaks
-            ids = [i for i, _ in noise.atom_ids[m]]
-            stages.append(_Stage(breaks, ids, self._absorbing_set(later)))
-        self.stages = stages[::-1]
-
-    def _absorbing_set(self, factor_ids: set) -> frozenset:
-        return frozenset(
-            i
-            for i in range(len(self.elements))
-            if all(self.right[i][f] == i for f in factor_ids)
+    right, plen = noise.closure.right, noise.prefix_length
+    stages = []
+    later: set = set()  # ids of every factor after stage m, the tail's included
+    for m in range(plen, -1, -1):
+        later.update(i for i, _ in noise.atom_ids[min(m + 1, plen)])
+        absorbing = frozenset(
+            i for i, row in enumerate(right) if all(row[f] == i for f in later)
         )
+        stages.append(_Stage(*_sampler(noise.atom_ids[m]), absorbing))
+    return stages[::-1]
 
-    def plan(self, depth: int) -> list[_Stage]:
-        """The stages of the factors for k = 0, -1, ..., -depth+1, in draw order."""
-        return [self.stages[min(m, self.prefix_len)] for m in range(depth)]
 
-    def trial_kernel(
-        self, depth: int
-    ) -> Callable[[SplitMix64], tuple[int, Optional[int]]]:
-        """The trial loop over `depth` factors: stream -> (product id, absorbed_at).
+def _plan(stages: list[_Stage], depth: int) -> list[_Stage]:
+    """The stages of the factors for k = 0, -1, ..., -depth+1, in draw order."""
+    return [stages[min(m, len(stages) - 1)] for m in range(depth)]
 
-        ``absorbed_at`` is the first count t of factors whose product lies in
-        the absorbing set of stage t-1, None if there is none within the
-        depth.  Every later factor fixes that product, so drawing stops there
-        and the stream is left after draw t; the product id is the product of
-        all `depth` factors either way.  When no stage can absorb, the loop
-        makes no membership test.
-        """
-        plan = self.plan(depth)
-        # one extra row for "no factor yet": it maps each factor to itself
-        table = (*self.right, tuple(range(len(self.right[0]))))
-        start = len(self.elements)
 
-        # The same loop without the absorption test: on group carriers, where
-        # nothing absorbs, the test costs about 8% of perfbench's mc-group
-        # run_s (10 of 10 alternating pairs, Python 3.11, Intel Xeon).
-        if not any(stage.absorbing for stage in plan):
+def _trial_kernel(
+    noise: NoiseSpec, stages: list[_Stage], depth: int
+) -> Callable[[SplitMix64], tuple[int, Optional[int]]]:
+    """The trial loop over `depth` factors: stream -> (product id, absorbed_at).
 
-            def run_all(rng: SplitMix64) -> tuple[int, Optional[int]]:
-                state, pid = rng.state, start
-                for breaks, ids, _ in plan:
-                    state = (state + GAMMA) & _MASK
-                    z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-                    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-                    pid = table[pid][ids[bisect_right(breaks, z ^ (z >> 31))]]
-                rng.state = state
-                return pid, None
+    ``absorbed_at`` is the first count t of factors whose product lies in
+    the absorbing set of stage t-1, None if there is none within the
+    depth.  Every later factor fixes that product, so drawing stops there
+    and the stream is left after draw t; the product id is the product of
+    all `depth` factors either way.  When no stage can absorb, the loop
+    makes no membership test.  Products step along ``closure.right`` by
+    atom id, a generator column (see `_stages`).
+    """
+    plan = _plan(stages, depth)
+    closure = noise.closure
+    # one extra row for "no factor yet": generator column j is element j, so
+    # `closure.generators` maps each factor to itself
+    table = (*closure.right, closure.generators)
+    start = closure.size
 
-            return run_all
+    # The same loop without the absorption test: on group carriers, where
+    # nothing absorbs, the test costs about 8% of perfbench's mc-group
+    # run_s (10 of 10 alternating pairs, Python 3.11, Intel Xeon).
+    if not any(stage.absorbing for stage in plan):
 
-        def run_until_absorbed(rng: SplitMix64) -> tuple[int, Optional[int]]:
+        def run_all(rng: SplitMix64) -> tuple[int, Optional[int]]:
             state, pid = rng.state, start
-            for t, (breaks, ids, absorbing) in enumerate(plan, 1):
+            for breaks, ids, _ in plan:
                 state = (state + GAMMA) & _MASK
                 z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
                 z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
                 pid = table[pid][ids[bisect_right(breaks, z ^ (z >> 31))]]
-                if pid in absorbing:
-                    rng.state = state
-                    return pid, t
             rng.state = state
             return pid, None
 
-        return run_until_absorbed
+        return run_all
+
+    def run_until_absorbed(rng: SplitMix64) -> tuple[int, Optional[int]]:
+        state, pid = rng.state, start
+        for t, (breaks, ids, absorbing) in enumerate(plan, 1):
+            state = (state + GAMMA) & _MASK
+            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+            pid = table[pid][ids[bisect_right(breaks, z ^ (z >> 31))]]
+            if pid in absorbing:
+                rng.state = state
+                return pid, t
+        rng.state = state
+        return pid, None
+
+    return run_until_absorbed
 
 
 def _skip_to_window_end(rng: SplitMix64, depth: int, absorbed_at: Optional[int]) -> None:
@@ -273,10 +264,6 @@ class CouplingSample:
     collision: bool
 
 
-def _entry_sampler(entry: ProbMeasure) -> tuple[_Sampler, list]:
-    return _Sampler([w for _, w in entry.atoms]), [k for k, _ in entry.atoms]
-
-
 def _as_entry_measure(noise: NoiseSpec, entry: Union[ProbMeasure, int]) -> ProbMeasure:
     if isinstance(entry, int):
         return ProbMeasure.point(state_carrier(noise.space), entry)
@@ -285,18 +272,36 @@ def _as_entry_measure(noise: NoiseSpec, entry: Union[ProbMeasure, int]) -> ProbM
     return entry
 
 
+def _entry_runs(
+    noise: NoiseSpec, cfg: SimConfig, entries: Sequence[ProbMeasure]
+) -> Iterator[tuple[int, tuple[int, ...], list]]:
+    """Per trial: (trial, image of the product, one draw from each entry law).
+
+    The kernel, `_skip_to_window_end`, then the entry draws in order: the
+    documented draw order.
+    """
+    run_trial = _trial_kernel(noise, _stages(noise), cfg.depth)
+    samplers = [_sampler(law.atoms) for law in entries]
+    elements = noise.closure.elements
+    for trial in range(cfg.trials):
+        rng = trial_stream(cfg.seed, trial)
+        pid, absorbed_at = run_trial(rng)
+        _skip_to_window_end(rng, cfg.depth, absorbed_at)
+        draws = [keys[bisect_right(breaks, rng.next_u64())] for breaks, keys in samplers]
+        yield trial, elements[pid].image, draws
+
+
 def simulate_paths(
     noise: NoiseSpec,
     cfg: SimConfig,
     entry: Optional[Union[ProbMeasure, int]] = None,
 ) -> Iterator[PathSample]:
     """Generate one PathSample per trial under the documented draw order."""
-    comp = _Compiled(noise)
-    entry_tables = None
+    plan = _plan(_stages(noise), cfg.depth)
+    entry_law = None
     if entry is not None:
-        entry_tables = _entry_sampler(_as_entry_measure(noise, entry))
-    plan = comp.plan(cfg.depth)
-    right = comp.right
+        entry_law = _sampler(_as_entry_measure(noise, entry).atoms)
+    right, elements = noise.closure.right, noise.closure.elements
     for trial in range(cfg.trials):
         rng = trial_stream(cfg.seed, trial)
         ids = [stage.ids[bisect_right(stage.breaks, rng.next_u64())] for stage in plan]
@@ -310,18 +315,17 @@ def simulate_paths(
             None,
         )
         x_path = None
-        if entry_tables is not None:
-            sampler, keys = entry_tables
-            x = keys[sampler.draw(rng)]
+        if entry_law is not None:
+            breaks, keys = entry_law
             xs = [0] * (cfg.depth + 1)
-            xs[cfg.depth] = x
+            xs[cfg.depth] = keys[bisect_right(breaks, rng.next_u64())]
             for m in range(cfg.depth - 1, -1, -1):
-                xs[m] = comp.action[ids[m]][xs[m + 1]]
+                xs[m] = elements[ids[m]].image[xs[m + 1]]
             x_path = tuple(xs)
         yield PathSample(
             trial,
-            tuple(comp.elements[i] for i in ids),
-            tuple(comp.elements[i] for i in product_ids),
+            tuple(elements[i] for i in ids),
+            tuple(elements[i] for i in product_ids),
             absorbed,
             x_path,
         )
@@ -358,11 +362,13 @@ def _estimate_from_counts(
     return LawEstimate(cfg.trials, cfg.depth, tuple(atoms))
 
 
-def _tally(comp: _Compiled, cfg: SimConfig) -> tuple[list[int], list[int]]:
+def _tally(
+    noise: NoiseSpec, stages: list[_Stage], cfg: SimConfig
+) -> tuple[list[int], list[int]]:
     """Run each trial once: product counts by closure id, and the absorption
     times of the trials that absorbed, in trial order."""
-    run_trial = comp.trial_kernel(cfg.depth)
-    counts = [0] * len(comp.elements)
+    run_trial = _trial_kernel(noise, stages, cfg.depth)
+    counts = [0] * noise.closure.size
     times = []
     for trial in range(cfg.trials):
         pid, absorbed = run_trial(trial_stream(cfg.seed, trial))
@@ -386,20 +392,14 @@ def estimate_law(
     """
     if observable not in ("product", "state"):
         raise ValueError(f"unknown observable {observable!r}")
-    comp = _Compiled(noise)
     if observable == "product":
-        counts, _ = _tally(comp, cfg)
-        return _estimate_from_counts(counts, comp.elements, cfg)
+        counts, _ = _tally(noise, _stages(noise), cfg)
+        return _estimate_from_counts(counts, noise.closure.elements, cfg)
     if entry is None:
         raise ValueError("the state observable needs an entry law or state")
-    run_trial = comp.trial_kernel(cfg.depth)
-    sampler, keys = _entry_sampler(_as_entry_measure(noise, entry))
     counts = [0] * noise.space.size
-    for trial in range(cfg.trials):
-        rng = trial_stream(cfg.seed, trial)
-        pid, absorbed_at = run_trial(rng)
-        _skip_to_window_end(rng, cfg.depth, absorbed_at)
-        counts[comp.action[pid][keys[sampler.draw(rng)]]] += 1
+    for _, image, (x,) in _entry_runs(noise, cfg, [_as_entry_measure(noise, entry)]):
+        counts[image[x]] += 1
     return _estimate_from_counts(counts, range(noise.space.size), cfg)
 
 
@@ -427,7 +427,9 @@ class StoppingTimeStats:
     products: LawEstimate
 
 
-def _exact_absorption(comp: _Compiled) -> tuple[Optional[Fraction], Fraction]:
+def _exact_absorption(
+    noise: NoiseSpec, stages: list[_Stage]
+) -> tuple[Optional[Fraction], Fraction]:
     """Exact E[T] and P(T = infinity) for the generalized absorption time.
 
     E[T] = sum over t >= 0 of P(T > t).  Over the prefix, `product_laws`
@@ -441,11 +443,11 @@ def _exact_absorption(comp: _Compiled) -> tuple[Optional[Fraction], Fraction]:
     T = infinity.
     """
     # the laws after t = 1..steps factors; head is P(T > t) for t < steps
-    *earlier, law = comp.noise.product_laws(max(comp.prefix_len, 1))
+    *earlier, law = noise.product_laws(max(noise.prefix_length, 1))
     head = Fraction(0)
-    for stage, seen in zip(comp.stages, earlier):
+    for stage, seen in zip(stages, earlier):
         head += sum(w for i, w in seen.items() if i not in stage.absorbing)
-    ids, out = tail_chain(comp.noise, law)
+    ids, out = tail_chain(noise, law)
     classes = closed_classes([sorted(row) for row in out])
     targets = [
         [v for members in classes if len(members) == 1 for v in members],
@@ -460,9 +462,9 @@ def _exact_absorption(comp: _Compiled) -> tuple[Optional[Fraction], Fraction]:
 def stopping_time_stats(noise: NoiseSpec, cfg: SimConfig) -> StoppingTimeStats:
     """Empirical absorption times against the exact fundamental-matrix value,
     and the empirical product law, from one run of the trials."""
-    comp = _Compiled(noise)
-    counts, times = _tally(comp, cfg)
-    exact_mean, infinite = _exact_absorption(comp)
+    stages = _stages(noise)
+    counts, times = _tally(noise, stages, cfg)
+    exact_mean, infinite = _exact_absorption(noise, stages)
     if times:
         mean = sum(times) / len(times)
         var = sum((t - mean) ** 2 for t in times) / len(times)
@@ -484,7 +486,7 @@ def stopping_time_stats(noise: NoiseSpec, cfg: SimConfig) -> StoppingTimeStats:
         q90=q90,
         exact_mean=exact_mean,
         infinite_mass=infinite,
-        products=_estimate_from_counts(counts, comp.elements, cfg),
+        products=_estimate_from_counts(counts, noise.closure.elements, cfg),
     )
 
 
@@ -500,19 +502,9 @@ def coupling_samples(
     the conditional law of the state given the shared window noise for
     families with remote-past entries.
     """
-    comp = _Compiled(noise)
-    run_trial = comp.trial_kernel(cfg.depth)
-    s1, k1 = _entry_sampler(first.law_at(-cfg.depth))
-    s2, k2 = _entry_sampler(second.law_at(-cfg.depth))
-    for trial in range(cfg.trials):
-        rng = trial_stream(cfg.seed, trial)
-        pid, absorbed_at = run_trial(rng)
-        _skip_to_window_end(rng, cfg.depth, absorbed_at)
-        x1 = k1[s1.draw(rng)]
-        x2 = k2[s2.draw(rng)]
-        y1 = comp.action[pid][x1]
-        y2 = comp.action[pid][x2]
-        yield CouplingSample(trial, x1, x2, y1, y2, y1 == y2)
+    laws = [first.law_at(-cfg.depth), second.law_at(-cfg.depth)]
+    for trial, image, (x1, x2) in _entry_runs(noise, cfg, laws):
+        yield CouplingSample(trial, x1, x2, image[x1], image[x2], image[x1] == image[x2])
 
 
 @dataclass(frozen=True)

@@ -217,7 +217,6 @@ def extremal_solutions(
     context: ActionContext,
     *,
     window: int = 8,
-    limit: Optional[LimitLawReport] = None,
 ) -> tuple[tuple[int, SolutionLawFamily], ...]:
     """The distinct entry-point families law(k) = nu(k) acting on a point.
 
@@ -225,8 +224,7 @@ def extremal_solutions(
     dropped keeping the smallest x.  Every extremal solution law is of this
     form when the products converge in law.
     """
-    if limit is None:
-        limit = limit_analysis(noise, context, window=window)
+    limit = limit_analysis(noise, context, window=window)
     if limit.nu is None:
         raise UnsupportedCaseError(
             "backward products do not converge in law; no entry-point families"
@@ -644,7 +642,6 @@ def classify(
     *,
     window: int = 8,
     subgroup_cap: int = 64,
-    limit: Optional[LimitLawReport] = None,
 ) -> ClassificationReport:
     """Decision tree over the limit analysis.
 
@@ -660,8 +657,7 @@ def classify(
     solution and, when cyclic, the Fourier trichotomy.  Otherwise the
     classifier abstains explicitly rather than guess.
     """
-    if limit is None:
-        limit = limit_analysis(noise, context, window=window, subgroup_cap=subgroup_cap)
+    limit = limit_analysis(noise, context, window=window, subgroup_cap=subgroup_cap)
     notes: list[str] = []
     fourier = (
         fourier_trichotomy(noise, context) if context.kind == "cyclic" else None
@@ -826,13 +822,6 @@ def classify(
             raise InternalInconsistencyError(
                 "pathwise uniqueness without uniqueness in law and strongness"
             )
-    if all_strong is False and pathwise is None:
-        pathwise = False
-    if not unique_in_law and pathwise is None and certified:
-        pathwise = False
-    if not unique_in_law and pathwise:
-        raise InternalInconsistencyError("pathwise uniqueness with several laws")
-
     return ClassificationReport(
         limit=limit,
         extremals=extremals,

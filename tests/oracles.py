@@ -15,6 +15,7 @@ library's Froidure-Pin enumeration replaced.
 from __future__ import annotations
 
 import cmath
+import itertools
 from fractions import Fraction
 
 from tsl import CapacityError, compose, convolve
@@ -387,19 +388,18 @@ def absorption_time_reference(
     return 1 + before + after, Fraction(0)
 
 
-def exact_absorption_reference(comp) -> tuple[Fraction | None, Fraction]:
+def exact_absorption_reference(noise, stages) -> tuple[Fraction | None, Fraction]:
     """(E[T], P(T = infinity)) from the fundamental matrix over every closure id.
 
-    `comp` is a `tsl.montecarlo._Compiled`.  The same `absorption` solve as
-    the library's, on the tail rows of the whole closure instead of the
-    products reachable from the law after the prefix.
+    `stages` are the `tsl.montecarlo._stages` of `noise`.  The same
+    `absorption` solve as the library's, on the tail rows of the whole closure
+    instead of the products reachable from the law after the prefix.
     """
-    noise = comp.noise
-    *earlier, law = noise.product_laws(max(comp.prefix_len, 1))
+    *earlier, law = noise.product_laws(max(noise.prefix_length, 1))
     head = Fraction(0)
-    for stage, seen in zip(comp.stages, earlier):
+    for stage, seen in zip(stages, earlier):
         head += sum(w for i, w in seen.items() if i not in stage.absorbing)
-    out = noise.tail_rows(range(len(comp.elements)))
+    out = noise.tail_rows(range(noise.closure.size))
     classes = closed_classes([sorted(row) for row in out])
     targets = [
         [v for members in classes if len(members) == 1 for v in members],
@@ -446,6 +446,50 @@ def generate_closure_reference(space, generators, cap=None):
     cayley = tuple(tuple(index[compose(a, b)] for b in elements) for a in elements)
     generator_ids = tuple(dict.fromkeys(index[g] for g in generators))
     return elements, cayley, generator_ids
+
+
+def subgroups_reference(elements, max_gen: int) -> set[tuple[int, ...]]:
+    """Sorted member ids of every subgroup among the candidates of a subgroup search.
+
+    The candidates are every element's power-orbit cycle and the closure of
+    every set of at most `max_gen` elements, by rounds of all-pairs products;
+    a candidate is kept when it has an identity and inverses, checked over
+    every pair of its members.
+    """
+    images = [e.image for e in elements]
+    index = {image: i for i, image in enumerate(images)}
+    products: dict = {}
+
+    def mul(a, b):
+        if (a, b) not in products:
+            products[a, b] = compose_images(a, b)
+        return products[a, b]
+
+    candidates = set()
+    for g in images:
+        orbit = [g]
+        while mul(orbit[-1], g) not in orbit:
+            orbit.append(mul(orbit[-1], g))
+        candidates.add(frozenset(orbit[orbit.index(mul(orbit[-1], g)) :]))
+    for r in range(1, max_gen + 1):
+        for subset in itertools.combinations(images, r):
+            members = set(subset)
+            while True:
+                fresh = {mul(a, b) for a in members for b in members} - members
+                if not fresh:
+                    break
+                members |= fresh
+            candidates.add(frozenset(members))
+
+    def is_group(members):
+        if any(mul(a, b) not in members for a in members for b in members):
+            return False
+        units = [e for e in members if all(mul(e, a) == a == mul(a, e) for a in members)]
+        return bool(units) and all(
+            any(mul(a, b) == units[0] == mul(b, a) for b in members) for a in members
+        )
+
+    return {tuple(sorted(index[m] for m in c)) for c in candidates if is_group(c)}
 
 
 def pick_reference(weights: dict, u: int):

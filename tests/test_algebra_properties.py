@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tsl import (
     CapacityError,
@@ -23,7 +23,7 @@ from tsl import (
     power_orbit_intersection,
 )
 
-from oracles import compose_images, generate_closure_reference
+from oracles import compose_images, generate_closure_reference, subgroups_reference
 
 COMMON = settings(max_examples=120, derandomize=True, deadline=None)
 
@@ -228,6 +228,28 @@ def test_found_subgroups_are_sorted_by_order_then_members(data, max_gen):
     subs = find_subgroups(generate_closure(space, gens), max_gen=max_gen, cap=64)
     keys = [(sub.order, sub.member_ids) for sub in subs]
     assert keys == sorted(keys)
+
+
+@COMMON
+@given(
+    st.one_of(
+        generator_sets(size=3, max_gens=2).map(lambda data: generate_closure(*data)),
+        st.integers(1, 10).map(lambda n: cyclic_group_context(n).ambient_semigroup()),
+    ),
+    st.integers(1, 2),
+)
+# S3: the one subgroup no cycle part gives, the closure of two generators
+@example(
+    generate_closure(
+        StateSpace.of_size(3),
+        [TransformationElement((1, 0, 2)), TransformationElement((1, 2, 0))],
+    ),
+    2,
+)
+def test_found_subgroups_are_every_cycle_and_closure_subgroup(sg, max_gen):
+    # the search closes no one-element set: its group closures are cycle parts
+    found = {sub.member_ids for sub in find_subgroups(sg, max_gen=max_gen, cap=64)}
+    assert found == subgroups_reference(sg.elements, max_gen)
 
 
 @COMMON

@@ -20,7 +20,13 @@ from tsl import (
     stopping_time_stats,
     trial_stream,
 )
-from tsl.montecarlo import GAMMA, _Compiled, _exact_absorption, _skip_to_window_end
+from tsl.montecarlo import (
+    GAMMA,
+    _exact_absorption,
+    _skip_to_window_end,
+    _stages,
+    _trial_kernel,
+)
 from tsl.solver import Origin, SolutionLawFamily
 
 from oracles import (
@@ -61,8 +67,7 @@ def _entry(space, states) -> ProbMeasure:
 def test_trial_kernel_matches_the_full_draw_reference(batch, depth, seed):
     space, (tail, *prefix), states = batch
     noise = NoiseSpec(tail, tuple(prefix))
-    comp = _Compiled(noise)
-    run_trial = comp.trial_kernel(depth)
+    run_trial = _trial_kernel(noise, _stages(noise), depth)
     prefix_images, tail_images = [_images(m) for m in prefix], _images(tail)
     entry = _entry(space, states)
     family = SolutionLawFamily(((0, entry),), (entry,), Origin("extremal"))
@@ -76,7 +81,7 @@ def test_trial_kernel_matches_the_full_draw_reference(batch, depth, seed):
         draws = splitmix64_reference(start, depth + 2)
 
         pid, got_at = run_trial(rng)
-        assert comp.elements[pid].image == product
+        assert noise.closure.elements[pid].image == product
         assert got_at == absorbed_at
         # drawing stops right after the absorbing factor ...
         stop = depth if absorbed_at is None else absorbed_at
@@ -104,12 +109,11 @@ def test_trial_kernel_matches_the_full_draw_reference(batch, depth, seed):
 def test_paths_and_kernel_share_one_absorption_time(batch, depth, seed):
     _, (tail, *prefix), _ = batch
     noise = NoiseSpec(tail, tuple(prefix))
-    comp = _Compiled(noise)
-    run_trial = comp.trial_kernel(depth)
+    run_trial = _trial_kernel(noise, _stages(noise), depth)
     for sample in simulate_paths(noise, SimConfig(depth, TRIALS, seed)):
         pid, absorbed_at = run_trial(trial_stream(seed, sample.trial))
         assert sample.absorbed_at == absorbed_at
-        assert sample.products[-1] == comp.elements[pid]
+        assert sample.products[-1] == noise.closure.elements[pid]
 
 
 @COMMON
@@ -158,8 +162,9 @@ def test_tally_matches_the_full_draw_reference(batch, depth, seed):
 @example(_absorption_case(2, {(0, 0): "1/2", (1, 0): "1/2"}))
 def test_exact_absorption_matches_the_all_ids_reference(batch):
     _, (tail, *prefix), _ = batch
-    comp = _Compiled(NoiseSpec(tail, tuple(prefix)))
-    assert _exact_absorption(comp) == exact_absorption_reference(comp)
+    noise = NoiseSpec(tail, tuple(prefix))
+    stages = _stages(noise)
+    assert _exact_absorption(noise, stages) == exact_absorption_reference(noise, stages)
 
 
 @COMMON
