@@ -462,47 +462,43 @@ def tail_chain(
 
 def absorption(
     out: Sequence[Mapping[int, Fraction]],
-    targets: Sequence[Iterable[int]],
+    targets: Sequence[Sequence[int]],
     initial: Sequence[Fraction],
 ) -> tuple[tuple[int, ...], list[Fraction], Fraction]:
     """Where and how soon the chain started from ``initial`` enters a target.
 
     ``out[v]`` maps each successor of state v to its transition weight; each
     target is a group of recurrent states, and together they hold every
-    closed class.  One solve of (I - Q) x = r over the other states, the
-    transient ones, with one right-hand side r per target but the first (the
-    one-step weight into it) and one all-ones r (the expected steps).  Some
-    target is entered for sure, so the first one gets the rest of the mass.
-    Returns the transient states, the probability of entering each target,
-    and the expected number of steps before entering any.
+    closed class.  The expected visits y to the other, transient, states
+    solve y (I - Q) = initial one strongly connected block at a time,
+    upstream blocks first, each with one right-hand side.  Returns the
+    transient states, the probability of entering each target, and the
+    expected number of steps before entering any: the sum of y.
     """
     target_of = {v: k for k, group in enumerate(targets) for v in group}
     transient = tuple(v for v in range(len(out)) if v not in target_of)
-    pos = {v: i for i, v in enumerate(transient)}
-    system: list[dict[int, Fraction]] = []
-    rhss = [[Fraction(0)] * len(transient) for _ in targets]
-    for i, s in enumerate(transient):
-        row = {i: Fraction(1)}
-        for t, w in out[s].items():
-            if t in pos:
-                row[pos[t]] = row.get(pos[t], Fraction(0)) - w
-            else:
-                rhss[target_of[t]][i] += w
-        system.append(row)
-    *into, wait = solve_linear(system, [*rhss[1:], [Fraction(1)] * len(transient)])
-    hits = [Fraction(0)] * len(targets)
-    steps = Fraction(0)
-    for s, w in enumerate(initial):
-        if not w:
+    hits = [sum((initial[v] for v in group), Fraction(0)) for group in targets]
+    visits = list(initial)  # a transient block's inflow until it is solved
+    succ = [() if v in target_of else out[v] for v in range(len(out))]
+    # Tarjan emits a block after every block it reaches: reversed, upstream first
+    for block in reversed(_strongly_connected_components(succ)):
+        if block[0] in target_of:
             continue
-        if s in pos:
-            steps += w * wait[pos[s]]
-            for k, hit in enumerate(into, 1):
-                hits[k] += w * hit[pos[s]]
-        else:
-            hits[target_of[s]] += w
-    hits[0] = sum(initial) - sum(hits[1:])
-    return transient, hits, steps
+        at = {s: j for j, s in enumerate(block)}
+        system = [{j: Fraction(1)} for j in range(len(block))]
+        for s, j in at.items():
+            for t, w in out[s].items():
+                if t in at:
+                    system[at[t]][j] = system[at[t]].get(j, 0) - w
+        (solved,) = solve_linear(system, [[visits[s] for s in block]])
+        for s, y in zip(block, solved):
+            visits[s] = y
+            for t, w in out[s].items():
+                if t in target_of:
+                    hits[target_of[t]] += y * w
+                elif t not in at:
+                    visits[t] += y * w
+    return transient, hits, sum((visits[s] for s in transient), Fraction(0))
 
 
 def build_product_chain(noise: NoiseSpec) -> ProductChain:
@@ -538,8 +534,9 @@ def stationary_on_class(
     """Stationary law of the closed class ``members``, aligned with it.
 
     ``out[v]`` maps each successor of state v to its transition weight.
-    Solves pi P = pi on the class with the last balance equation replaced
-    by normalization.
+    Uniform when every column sums to 1, which is pi P = pi for uniform pi;
+    else solves pi P = pi with the last balance equation replaced by
+    normalization.
     """
     m = len(members)
     pos = {v: i for i, v in enumerate(members)}
@@ -548,9 +545,10 @@ def stationary_on_class(
         for t, w in out[v].items():
             balance = system[pos[t]]
             balance[i] = balance.get(i, Fraction(0)) + w
+    if all(sum(balance.values()) == 0 for balance in system):
+        return [Fraction(1, m)] * m
     system[-1] = dict.fromkeys(range(m), Fraction(1))
-    rhs = [Fraction(0)] * (m - 1) + [Fraction(1)]
-    (pi,) = solve_linear(system, [rhs])
+    (pi,) = solve_linear(system, [[0] * (m - 1) + [1]])
     if any(v < 0 for v in pi):
         raise InternalInconsistencyError("negative stationary weight")
     return pi

@@ -3,11 +3,9 @@
 Everything here is written straight from the defining formulas, avoiding the
 library's own code paths, so that agreement between the two is meaningful.
 The brute-force Fourier oracle below predates the library's integer-test
-implementation and stays the authority the tests defer to.  The one exception
-is `strongness_residuals_reference`, which keeps the object-level `convolve`
-chain that the library's integer stepping replaced,
-`exact_absorption_reference`, which runs the library's `absorption` solve over
-every closure id instead of over the products reachable after the prefix, and
+implementation and stays the authority the tests defer to.  The exceptions
+are `strongness_residuals_reference`, which keeps the object-level `convolve`
+chain that the library's integer stepping replaced, and
 `generate_closure_reference`, which keeps the all-pairs closure loop that the
 library's Froidure-Pin enumeration replaced.
 """
@@ -19,7 +17,6 @@ import itertools
 from fractions import Fraction
 
 from tsl import CapacityError, compose, convolve
-from tsl.measures import absorption, closed_classes
 
 _M64 = (1 << 64) - 1
 _TOL = 1e-9
@@ -314,6 +311,21 @@ def dense_absorption(
     ]
 
 
+def dense_expected_steps(
+    transitions: list[list[Fraction]], initial: list[Fraction], transient: list[int]
+) -> Fraction:
+    """Expected steps spent on `transient` by the chain started from `initial`.
+
+    x = Q x + 1 on the transient states, x = 0 elsewhere.
+    """
+    system = [
+        [(1 if i == j else 0) - transitions[s][t] for j, t in enumerate(transient)]
+        for i, s in enumerate(transient)
+    ]
+    (x,) = dense_solve(system, [[Fraction(1)] * len(transient)])
+    return sum((initial[s] * v for s, v in zip(transient, x)), Fraction(0))
+
+
 def absorption_time_reference(
     prefix: list[dict[tuple[int, ...], Fraction]],
     tail: dict[tuple[int, ...], Fraction],
@@ -391,25 +403,35 @@ def absorption_time_reference(
 def exact_absorption_reference(noise, stages) -> tuple[Fraction | None, Fraction]:
     """(E[T], P(T = infinity)) from the fundamental matrix over every closure id.
 
-    `stages` are the `tsl.montecarlo._stages` of `noise`.  The same
-    `absorption` solve as the library's, on the tail rows of the whole closure
-    instead of the products reachable from the law after the prefix.
+    `stages` are the `tsl.montecarlo._stages` of `noise`.  A closure id is
+    recurrent when every id it reaches reaches it back; the recurrent ids
+    that every tail factor fixes are the absorbing ones, and the other
+    recurrent ids are never left, so entering them means T = infinity.  The
+    other ids are transient, and the dense solves take it from there.
     """
     *earlier, law = noise.product_laws(max(noise.prefix_length, 1))
     head = Fraction(0)
     for stage, seen in zip(stages, earlier):
         head += sum(w for i, w in seen.items() if i not in stage.absorbing)
     out = noise.tail_rows(range(noise.closure.size))
-    classes = closed_classes([sorted(row) for row in out])
-    targets = [
-        [v for members in classes if len(members) == 1 for v in members],
-        [v for members in classes if len(members) > 1 for v in members],
-    ]
-    initial = [law.get(i, Fraction(0)) for i in range(len(out))]
-    _, (_, infinite), steps = absorption(out, targets, initial)
-    if infinite != 0:
-        return None, infinite
-    return 1 + head + steps, Fraction(0)
+    reach = [set(row) for row in out]  # the ids reached in one step or more
+    grew = True
+    while grew:
+        grew = False
+        for v, seen in enumerate(reach):
+            more = set().union(*(reach[t] for t in seen)) - seen
+            if more:
+                seen |= more
+                grew = True
+    recurrent = {v for v, seen in enumerate(reach) if all(v in reach[t] for t in seen)}
+    absorbing = {v for v, row in enumerate(out) if row == {v: 1}}
+    transient = [v for v in range(len(out)) if v not in recurrent]
+    rows = [[row.get(t, Fraction(0)) for t in range(len(out))] for row in out]
+    initial = [law.get(v, Fraction(0)) for v in range(len(out))]
+    (absorbed,) = dense_absorption(rows, initial, transient, [sorted(absorbing)])
+    if absorbed != 1:
+        return None, 1 - absorbed
+    return 1 + head + dense_expected_steps(rows, initial, transient), Fraction(0)
 
 
 def generate_closure_reference(space, generators, cap=None):

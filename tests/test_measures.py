@@ -10,6 +10,7 @@ from tsl import (
     CarrierMismatchError,
     NoiseSpec,
     ProbMeasure,
+    StateSpace,
     TransformationElement,
     UnsupportedCaseError,
     act,
@@ -26,8 +27,23 @@ from tsl import (
     state_carrier,
     tv_distance,
 )
+from tsl.measures import (
+    _strongly_connected_components,
+    absorption,
+    closed_classes,
+    tail_chain,
+)
 
-from helpers import GEN_A, GEN_B, THREE, cyclic_noise, three_ctx, two_map_noise
+from helpers import (
+    GEN_A,
+    GEN_B,
+    THREE,
+    cyclic_noise,
+    element_measure,
+    three_ctx,
+    two_map_noise,
+)
+from oracles import dense_absorption, dense_expected_steps
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -349,3 +365,22 @@ def test_aperiodic_group_noise_converges_in_law_only():
     assert sub is not None
     assert sub.member_ids == (0, 1)
     assert sub.order == 2
+
+
+def test_absorption_solves_transient_blocks_in_order_like_the_dense_reference():
+    # perfbench's cyc4-rank3: 124 transient products in 11 strongly connected
+    # blocks, each entered only from blocks solved before it
+    tail = element_measure(StateSpace.of_size(4), {(1, 2, 3, 0): HALF, (0, 0, 2, 3): HALF})
+    noise = NoiseSpec(tail)
+    start = dict(noise.atom_ids[-1])
+    ids, out = tail_chain(noise, start)
+    succ = [sorted(row) for row in out]
+    classes = closed_classes(succ)
+    blocks = [c for c in _strongly_connected_components(succ) if tuple(c) not in classes]
+    assert (len(ids), len(classes), len(blocks)) == (128, 4, 11)
+    assert max(map(len, blocks)) == 12
+    initial = [start.get(p, Fraction(0)) for p in ids]
+    transient, hits, steps = absorption(out, classes, initial)
+    rows = [[row.get(j, Fraction(0)) for j in range(len(ids))] for row in out]
+    assert hits == dense_absorption(rows, initial, list(transient), list(map(list, classes)))
+    assert steps == dense_expected_steps(rows, initial, list(transient))

@@ -25,12 +25,13 @@ from tsl import (
     stopping_time_stats,
     tv_distance,
 )
-from tsl.measures import tail_chain
+from tsl.measures import absorption, closed_classes, tail_chain
 
 from helpers import element_measure
 from oracles import (
     absorption_time_reference,
     dense_absorption,
+    dense_expected_steps,
     dense_stationary,
     kernel_classes_reference,
     product_chain_reference,
@@ -154,8 +155,17 @@ def test_noise_schedule_matches_prefix_listing(batch, k):
     assert noise.measure_at(k) == expected
 
 
+def _absorption_case(n: int, tail: dict, *prefix: dict):
+    space = StateSpace.of_size(n)
+    return space, [element_measure(space, m) for m in (tail, *prefix)], []
+
+
 @COMMON
 @given(measure_batch(1))
+# a group tail: its 24-state class is doubly stochastic, the uniform law ...
+@example(_absorption_case(4, {(1, 0, 2, 3): "1/2", (1, 2, 3, 0): "1/2"}))
+# ... and a 4-state class whose columns do not sum to 1, the general solve
+@example(_absorption_case(3, {(1, 0, 0): "3/4", (1, 0, 1): "1/4"}))
 def test_chain_solves_match_the_dense_reference(batch):
     _, (tail,), _ = batch
     chain = build_product_chain(NoiseSpec(tail))
@@ -179,6 +189,10 @@ def test_chain_solves_match_the_dense_reference(batch):
 
 @COMMON
 @given(measure_batch(1))
+# the same group tail moves the states uniformly too ...
+@example(_absorption_case(4, {(1, 0, 2, 3): "1/2", (1, 2, 3, 0): "1/2"}))
+# ... while a swap and a merge into state 1, half each, give (2/3, 1/3)
+@example(_absorption_case(2, {(1, 0): "1/2", (0, 0): "1/2"}))
 def test_stationary_law_matches_the_dense_reference(batch):
     space, (mu,), _ = batch
     n = space.size
@@ -194,11 +208,6 @@ def test_stationary_law_matches_the_dense_reference(batch):
             dense_stationary(rows, list(range(n)))
         return
     assert [law.weight(x) for x in range(n)] == dense_stationary(rows, list(range(n)))
-
-
-def _absorption_case(n: int, tail: dict, *prefix: dict):
-    space = StateSpace.of_size(n)
-    return space, [element_measure(space, m) for m in (tail, *prefix)], []
 
 
 @COMMON
@@ -285,3 +294,23 @@ def test_tail_chain_from_the_law_after_the_prefix_matches_the_object_level_searc
     states, rows, _ = product_chain_reference(images(tail), start)
     assert ids == [index[TransformationElement(s)] for s in states]
     assert out == rows
+
+
+@COMMON
+@given(st.integers(2, 3).flatmap(lambda count: measure_batch(count, max_states=3)))
+# a four-product class entered from the identity, and cyc4-rank3 behind a
+# prefix: 48 transient products in 4 blocks, over 3 of its 4 absorbing ones
+@example(_absorption_case(3, {(1, 0, 0): "3/4", (1, 0, 1): "1/4"}, {(0, 1, 2): 1}))
+@example(_absorption_case(4, {(1, 2, 3, 0): "1/2", (0, 0, 2, 3): "1/2"}, {(0, 0, 2, 3): 1}))
+def test_absorption_from_the_law_after_a_prefix_matches_the_dense_reference(batch):
+    _, (tail, *prefix), _ = batch
+    noise = NoiseSpec(tail, tuple(prefix))
+    *_, law = noise.product_laws(len(prefix))
+    ids, out = tail_chain(noise, law)
+    classes = closed_classes([sorted(row) for row in out])
+    initial = [law.get(p, Fraction(0)) for p in ids]
+    transient, hits, steps = absorption(out, classes, initial)
+    assert set(transient) == set(range(len(ids))) - {v for c in classes for v in c}
+    rows = [[row.get(j, Fraction(0)) for j in range(len(ids))] for row in out]
+    assert hits == dense_absorption(rows, initial, list(transient), list(map(list, classes)))
+    assert steps == dense_expected_steps(rows, initial, list(transient))
