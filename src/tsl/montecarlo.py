@@ -5,7 +5,12 @@ The generator is SplitMix64; trial t uses its own stream seeded as
 and identical on every platform and Python version.  Atoms are sampled by
 comparing one 64-bit draw against precomputed integer breakpoints
 ceil(c * 2^64) for the cumulative weights c, which is exactly the event
-u / 2^64 < c; no floating point enters the sampling path.
+u / 2^64 < c; no floating point enters the sampling path.  The trial kernel
+decides each factor from only the bits that fix it, with the same atom for
+every draw: a point-mass factor needs no bits, so its draw is not mixed (the
+stream still moves by GAMMA), and any other factor is read from a 256-entry
+guide on the draw's top byte (Chen & Asau, AIIE Trans. 6, 1974), with the
+breakpoint search only where a breakpoint splits that byte's bucket.
 
 Per trial the draw order is fixed: the noise for k = 0, -1, ..., -depth+1
 first, then any entry-state draws.  The samplers and the trial kernel read
@@ -139,12 +144,35 @@ def _sampler(atoms: Sequence[tuple[object, Fraction]]) -> tuple[list[int], list]
 
 
 class _Stage(NamedTuple):
-    """One factor draw: sampler breakpoints, atom ids, and the products that
-    every factor still to come after this one leaves fixed."""
+    """One factor draw: sampler breakpoints, atom ids, the guide, and the
+    products that every factor still to come after this one leaves fixed.
+
+    ``guide[b]`` is the atom id of every draw u with top byte b (u >> 56 ==
+    b) when no breakpoint splits that bucket, and -1 when one does; there
+    the breakpoints decide.  A point mass has no guide (None): its factor is
+    the same for every draw.
+    """
 
     breaks: list
     ids: list
+    guide: Optional[list]
     absorbing: frozenset
+
+
+def _guide(breaks: list, ids: list) -> Optional[list]:
+    """The top-byte guide of a sampler (see `_Stage`), None for a point mass.
+
+    Bucket b holds the draws b * 2^56 .. (b+1) * 2^56 - 1; the first
+    breakpoint above its lowest draw fixes the whole bucket when it lies at
+    or above the bucket's end.
+    """
+    if len(ids) == 1:
+        return None
+    guide = []
+    for b in range(256):
+        i = bisect_right(breaks, b << 56)
+        guide.append(ids[i] if breaks[i] >= (b + 1) << 56 else -1)
+    return guide
 
 
 def _stages(noise: NoiseSpec) -> list[_Stage]:
@@ -164,7 +192,8 @@ def _stages(noise: NoiseSpec) -> list[_Stage]:
         absorbing = frozenset(
             i for i, row in enumerate(right) if all(row[f] == i for f in later)
         )
-        stages.append(_Stage(*_sampler(noise.atom_ids[m]), absorbing))
+        breaks, ids = _sampler(noise.atom_ids[m])
+        stages.append(_Stage(breaks, ids, _guide(breaks, ids), absorbing))
     return stages[::-1]
 
 
@@ -185,8 +214,18 @@ def _trial_kernel(
     all `depth` factors either way.  When no stage can absorb, the loop
     makes no membership test.  Products step along ``closure.right`` by
     atom id, a generator column (see `_stages`).
+
+    Each factor moves the stream state by GAMMA, as `SplitMix64.next_u64`
+    does, but only mixes it when the factor depends on the draw.  A
+    point-mass stage takes its one atom unmixed.  Otherwise the guide is
+    read at the top byte of the mixed state before the final xorshift,
+    ``z >> 56``, which is the top byte of the draw ``z ^ (z >> 31)``
+    because ``z >> 31 < 2^33``; only a split bucket (-1) finishes the draw
+    and searches the breakpoints.  Every factor is the atom that
+    ``ids[bisect_right(breaks, draw)]`` gives.
     """
-    plan = _plan(stages, depth)
+    # plain tuples: the loops below unpack them faster than `_Stage`s
+    plan = [tuple(stage) for stage in _plan(stages, depth)]
     closure = noise.closure
     # one extra row for "no factor yet": generator column j is element j, so
     # `closure.generators` maps each factor to itself
@@ -194,17 +233,24 @@ def _trial_kernel(
     start = closure.size
 
     # The same loop without the absorption test: on group carriers, where
-    # nothing absorbs, the test costs about 8% of perfbench's mc-group
-    # run_s (10 of 10 alternating pairs, Python 3.11, Intel Xeon).
-    if not any(stage.absorbing for stage in plan):
+    # nothing absorbs, the test costs about 13% of perfbench's mc-group
+    # run_s, medians 0.60 against 0.52 s (10 of 10 alternating pairs,
+    # Python 3.11, Intel Xeon).
+    if not any(absorbing for *_, absorbing in plan):
 
         def run_all(rng: SplitMix64) -> tuple[int, Optional[int]]:
             state, pid = rng.state, start
-            for breaks, ids, _ in plan:
+            for breaks, ids, guide, _ in plan:
                 state = (state + GAMMA) & _MASK
-                z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-                pid = table[pid][ids[bisect_right(breaks, z ^ (z >> 31))]]
+                if guide is None:
+                    pid = table[pid][ids[0]]
+                else:
+                    z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+                    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+                    f = guide[z >> 56]
+                    if f < 0:
+                        f = ids[bisect_right(breaks, z ^ (z >> 31))]
+                    pid = table[pid][f]
             rng.state = state
             return pid, None
 
@@ -212,11 +258,17 @@ def _trial_kernel(
 
     def run_until_absorbed(rng: SplitMix64) -> tuple[int, Optional[int]]:
         state, pid = rng.state, start
-        for t, (breaks, ids, absorbing) in enumerate(plan, 1):
+        for t, (breaks, ids, guide, absorbing) in enumerate(plan, 1):
             state = (state + GAMMA) & _MASK
-            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-            pid = table[pid][ids[bisect_right(breaks, z ^ (z >> 31))]]
+            if guide is None:
+                pid = table[pid][ids[0]]
+            else:
+                z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+                f = guide[z >> 56]
+                if f < 0:
+                    f = ids[bisect_right(breaks, z ^ (z >> 31))]
+                pid = table[pid][f]
             if pid in absorbing:
                 rng.state = state
                 return pid, t

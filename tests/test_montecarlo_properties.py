@@ -3,6 +3,7 @@ exact laws against the definitions."""
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from statistics import median_high
 
 from hypothesis import example, given, strategies as st
@@ -64,6 +65,12 @@ def _entry(space, states) -> ProbMeasure:
 @example(_absorption_case(3, {(2, 1, 2): "1/2", (2, 2, 1): "1/2"}, {(2, 1, 1): 1}), 6, 1)
 # a permutation walk: nothing is ever absorbed, every factor is drawn
 @example(_absorption_case(3, {(1, 0, 2): 1}), 5, 2)
+# a 1/3, 2/3 tail: trial 0's first draw, 0x5568..., has top byte 0x55, the
+# bucket that the breakpoint ceil(2^64 / 3) = 0x5555...56 splits
+@example(_absorption_case(2, {(0, 1): "1/3", (1, 0): "2/3"}), 3, 105)
+# a mixed prefix, then a point-mass tail whose draws are never mixed: the
+# stream must still move by GAMMA for each of them
+@example(_absorption_case(3, {(1, 2, 0): 1}, {(0, 1, 2): "1/3", (1, 2, 0): "2/3"}), 6, 3)
 def test_trial_kernel_matches_the_full_draw_reference(batch, depth, seed):
     space, (tail, *prefix), states = batch
     noise = NoiseSpec(tail, tuple(prefix))
@@ -101,6 +108,34 @@ def test_trial_kernel_matches_the_full_draw_reference(batch, depth, seed):
         alone = SimConfig(depth, 1, (seed + trial * GAMMA) & MASK)
         state_law = estimate_law(noise, alone, "state", entry)
         assert state_law.count(product[x1]) == 1
+
+
+@COMMON
+@given(noises)
+@example(_absorption_case(2, {(0, 1): "1/3", (1, 0): "2/3"}))
+@example(_absorption_case(2, {(1, 0): 1}, {(0, 0): "1/4", (1, 1): "3/4"}))
+def test_stage_guides_agree_with_the_pick_reference(batch):
+    _, (tail, *prefix), _ = batch
+    noise = NoiseSpec(tail, tuple(prefix))
+    for stage, atoms in zip(_stages(noise), noise.atom_ids):
+        weights = dict(atoms)
+        if len(weights) == 1:
+            assert stage.guide is None
+            continue
+        for b, f in enumerate(stage.guide):
+            if f != -1:
+                lowest, highest = b << 56, ((b + 1) << 56) - 1
+                assert pick_reference(weights, lowest) == f == pick_reference(weights, highest)
+        inner = [x for x in stage.breaks if x < 1 << 64]
+        for u in {v for x in inner for v in (x - 1, x, x + 1) if v < 1 << 64}:
+            f = stage.guide[u >> 56]
+            if f == -1:
+                f = stage.ids[bisect_right(stage.breaks, u)]
+            assert f == pick_reference(weights, u)
+        # a breakpoint off the bucket edges splits its bucket, and nothing
+        # else does: an all -1 guide, which never takes the fast path, fails
+        split = {x >> 56 for x in inner if x % (1 << 56)}
+        assert [b for b, f in enumerate(stage.guide) if f == -1] == sorted(split)
 
 
 @COMMON
