@@ -560,10 +560,11 @@ class LimitLawReport:
 
     ``nu`` is the limit law of the running tail products when it exists
     (every reachable recurrent class aperiodic); ``cesaro`` always exists.
-    ``nu_window``/``cesaro_window`` push the tail answer through the noise
-    prefix for each represented k.  ``p2_subgroup`` is the smallest
-    non-trivial subgroup certifying convergence modulo a subgroup, see
-    module docs for the three conditions.
+    ``nu_window``/``cesaro_window`` hold the element law at each represented
+    k: the tail fixes its Cesaro limit, so below the prefix that is the base
+    law itself, and each prefix stage above pushes it once.  ``p2_subgroup``
+    is the smallest non-trivial subgroup certifying convergence modulo a
+    subgroup, see module docs for the three conditions.
     """
 
     noise: NoiseSpec
@@ -606,11 +607,11 @@ def _subgroup_qualifies(
         if len(cosets) != 1:
             return False
     # (ii) the limit law is right invariant, exactly, at the tail and at
-    # every represented window position.
+    # every represented window position; the laws below the prefix are nu.
     if not is_right_invariant(nu, subgroup):
         return False
     for _, m in window:
-        if not is_right_invariant(m, subgroup):
+        if m is not nu and not is_right_invariant(m, subgroup):
             raise InternalInconsistencyError(
                 "window law lost right invariance that the tail law has"
             )
@@ -662,18 +663,14 @@ def limit_analysis(
         mixture_weights.append(cls.absorption)
     cesaro = mix(mixture_parts, mixture_weights)
 
-    effective_window = max(window, noise.prefix_length)
-
-    def push_window(base: ProbMeasure) -> tuple[tuple[int, ProbMeasure], ...]:
-        laws: dict[int, ProbMeasure] = {}
-        below = base
-        for k in range(-effective_window, 1):
-            current = convolve(noise.measure_at(k), below)
-            laws[k] = current
-            below = current
-        return tuple((k, laws[k]) for k in range(0, -effective_window - 1, -1))
-
-    cesaro_window = push_window(cesaro)
+    # the Cesaro limit of the tail's convolution powers is fixed by the tail,
+    # so every window law from the prefix down is the limit law itself
+    if convolve(noise.tail, cesaro) != cesaro:
+        raise InternalInconsistencyError("the tail law does not fix its Cesaro limit")
+    laws = [cesaro] * (max(window, noise.prefix_length) - noise.prefix_length + 1)
+    for k in range(-noise.prefix_length + 1, 1):
+        laws.append(convolve(noise.measure_at(k), laws[-1]))
+    cesaro_window = tuple(zip(range(0, -len(laws), -1), reversed(laws)))
     nu = cesaro if converges_in_law else None
     nu_window = cesaro_window if converges_in_law else None
 

@@ -143,6 +143,14 @@ class SolutionLawFamily:
         return f"{self.origin.describe()} depth={self.depth} period={self.tail_period}"
 
 
+def _pushed(noise: NoiseSpec, below: ProbMeasure, depth: int) -> dict[int, ProbMeasure]:
+    """The state laws law(k) = noise(k) acting on law(k-1), k = -depth..0, from `below`."""
+    laws = {}
+    for k in range(-depth, 1):
+        laws[k] = below = act(noise.measure_at(k), below)
+    return laws
+
+
 def make_family(
     noise: NoiseSpec,
     window_laws: Mapping[int, ProbMeasure],
@@ -177,12 +185,9 @@ def make_family(
         expected = act(noise.tail, cycle[(j + 1) % p])
         if expected != cycle[j]:
             raise ValueError(f"tail cycle inconsistent at offset {j}")
-    below = cycle[0]
-    for k in range(-depth, 1):
-        expected = act(noise.measure_at(k), below)
+    for k, expected in _pushed(noise, cycle[0], depth).items():
         if expected != window_laws[k]:
             raise ValueError(f"law at k={k} does not solve the recursion")
-        below = window_laws[k]
     window = tuple((k, window_laws[k]) for k in range(0, -depth - 1, -1))
     return SolutionLawFamily(window, cycle, origin)
 
@@ -196,18 +201,15 @@ def _dedupe(pairs: Sequence[tuple[int, SolutionLawFamily]]) -> tuple[tuple[int, 
 
 
 def _entry_point_families(
-    noise: NoiseSpec,
-    law: ProbMeasure,
-    window: Sequence[tuple[int, ProbMeasure]],
+    noise: NoiseSpec, law: ProbMeasure, depth: int
 ) -> list[tuple[int, SolutionLawFamily]]:
-    """One family per entry state x: the element laws `window` and `law` acting on x."""
+    """One family per entry state x: the tail-fixed `law` acting on x, pushed up to k = 0."""
     car = state_carrier(noise.space)
     pairs = []
     for x in range(noise.space.size):
-        entry = ProbMeasure.point(car, x)
-        window_laws = {k: act(m, entry) for k, m in window}
-        cycle = (act(law, entry),)
-        fam = make_family(noise, window_laws, cycle, Origin("extremal", entry_state=x))
+        cycle = act(law, ProbMeasure.point(car, x))
+        window_laws = _pushed(noise, cycle, depth)
+        fam = make_family(noise, window_laws, (cycle,), Origin("extremal", entry_state=x))
         pairs.append((x, fam))
     return pairs
 
@@ -229,7 +231,7 @@ def extremal_solutions(
         raise UnsupportedCaseError(
             "backward products do not converge in law; no entry-point families"
         )
-    return _dedupe(_entry_point_families(noise, limit.nu, limit.nu_window))
+    return _dedupe(_entry_point_families(noise, limit.nu, len(limit.nu_window) - 1))
 
 
 def cesaro_solutions(
@@ -247,7 +249,7 @@ def cesaro_solutions(
     """
     if limit is None:
         limit = limit_analysis(noise, context, window=window)
-    return _dedupe(_entry_point_families(noise, limit.cesaro, limit.cesaro_window))
+    return _dedupe(_entry_point_families(noise, limit.cesaro, len(limit.cesaro_window) - 1))
 
 
 def _require_cyclic(context: ActionContext) -> None:
@@ -283,11 +285,7 @@ def cyclic_coset_families(
         for j in range(drift_order):
             shift = (a + (-depth - 1 - j) * g0) % n
             cycle.append(ProbMeasure.uniform(car, [(shift + e) % n for e in h]))
-        window_laws: dict[int, ProbMeasure] = {}
-        below = cycle[0]
-        for k in range(-depth, 1):
-            below = act(noise.measure_at(k), below)
-            window_laws[k] = below
+        window_laws = _pushed(noise, cycle[0], depth)
         fam = make_family(
             noise, window_laws, tuple(cycle), Origin("extremal", entry_state=a)
         )
@@ -665,7 +663,7 @@ def classify(
     trichotomy = fourier.trichotomy if fourier is not None else None
 
     if limit.nu is not None:
-        entries = _entry_point_families(noise, limit.nu, limit.nu_window)
+        entries = _entry_point_families(noise, limit.nu, len(limit.nu_window) - 1)
         extremals = _dedupe(entries)
         certified = True
         notes.append(

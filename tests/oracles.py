@@ -5,9 +5,11 @@ library's own code paths, so that agreement between the two is meaningful.
 The brute-force Fourier oracle below predates the library's integer-test
 implementation and stays the authority the tests defer to.  The exceptions
 are `strongness_residuals_reference`, which keeps the object-level `convolve`
-chain that the library's integer stepping replaced, and
-`generate_closure_reference`, which keeps the all-pairs closure loop that the
-library's Froidure-Pin enumeration replaced.
+chain that the library's integer stepping replaced, `window_reference`, which
+keeps the convolution through every window position that the library's fixed
+point below the prefix replaced, and `generate_closure_reference`, which
+keeps the all-pairs closure loop that the library's Froidure-Pin enumeration
+replaced.
 """
 
 from __future__ import annotations
@@ -198,6 +200,19 @@ def strongness_residuals_reference(noise, family, depth: int, budget: int):
                 residual += w * (1 - max(cond.values()))
             out.append((l, residual))
     return tuple(out)
+
+
+def window_reference(noise, base, depth: int):
+    """Element laws at k = 0 down to -depth: `base` at -depth - 1, convolved up.
+
+    Every position takes one `convolve` with its noise law, the tail positions
+    included, so nothing assumes that the tail fixes `base`.
+    """
+    laws = {}
+    below = base
+    for k in range(-depth, 1):
+        below = laws[k] = convolve(noise.measure_at(k), below)
+    return tuple((k, laws[k]) for k in range(0, -depth - 1, -1))
 
 
 def apply_law(

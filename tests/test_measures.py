@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import tsl.measures
 from tsl import (
     CarrierMismatchError,
     NoiseSpec,
@@ -38,6 +39,7 @@ from helpers import (
     GEN_A,
     GEN_B,
     THREE,
+    count_calls,
     cyclic_noise,
     element_measure,
     three_ctx,
@@ -329,6 +331,19 @@ def test_limit_analysis_window_covers_long_prefixes(half_noise):
         expected = convolve(noise.measure_at(k), below)
         assert laws[k] == expected
         below = expected
+
+
+def test_limit_analysis_convolves_only_through_the_prefix(monkeypatch, half_noise):
+    # one check that the tail fixes the limit law, then one push per prefix
+    # stage: the laws further down are the limit law, whatever the window
+    delta_a = ProbMeasure.point(ELEMENTS, GEN_A)
+    noise = NoiseSpec(half_noise.tail, (delta_a, half_noise.tail, delta_a))
+    calls = count_calls(monkeypatch, tsl.measures, "convolve")
+    for window in (8, 64):
+        calls.clear()
+        report = limit_analysis(noise, three_ctx(), window=window)
+        assert len(calls) == noise.prefix_length + 1
+        assert len(report.nu_window) == window + 1
 
 
 def test_periodic_group_noise_has_no_limit_law():

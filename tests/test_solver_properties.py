@@ -23,13 +23,14 @@ from tsl import (
     fourier_trichotomy,
     mixture_family,
     semigroup_context,
+    state_carrier,
     stationary_law,
     strongness_witness,
     uniform_solution,
 )
 
 from helpers import cyclic_noise
-from oracles import fourier_oracle, strongness_residuals_reference
+from oracles import fourier_oracle, strongness_residuals_reference, window_reference
 from test_measures_properties import measure_batch
 
 COMMON = settings(max_examples=120, derandomize=True, deadline=None)
@@ -46,14 +47,19 @@ def semigroup_noise(draw):
     n = draw(st.integers(2, 3))
     space = StateSpace.of_size(n)
     car = element_carrier(space)
-    count = draw(st.integers(1, 3))
-    support = set()
-    for _ in range(count):
-        support.add(
-            TransformationElement(tuple(draw(st.integers(0, n - 1)) for _ in range(n)))
-        )
-    mu = ProbMeasure.from_weights(car, _weights(draw, sorted(support)))
-    return space, NoiseSpec(mu)
+
+    def measure() -> ProbMeasure:
+        count = draw(st.integers(1, 3))
+        support = set()
+        for _ in range(count):
+            support.add(
+                TransformationElement(tuple(draw(st.integers(0, n - 1)) for _ in range(n)))
+            )
+        return ProbMeasure.from_weights(car, _weights(draw, sorted(support)))
+
+    mu = measure()
+    prefix = tuple(measure() for _ in range(draw(st.integers(0, 2))))
+    return space, NoiseSpec(mu, prefix)
 
 
 @st.composite
@@ -80,6 +86,24 @@ def test_families_solve_the_recursion_externally(data):
             deep = -fam.depth - 1 - j
             assert fam.law_at(deep) == act(noise.tail, fam.law_at(deep - 1))
             assert fam.law_at(deep) == fam.law_at(deep - period)
+
+
+@COMMON
+@given(semigroup_noise())
+def test_window_laws_match_the_convolution_reference(data):
+    # the limit analysis takes the Cesaro law as fixed below the prefix, and
+    # the entry-point families push its action on x through the state noise;
+    # both must agree with convolving every element law and then acting
+    space, noise = data
+    report = classify(noise, semigroup_context(space))
+    limit = report.limit
+    depth = len(limit.cesaro_window) - 1
+    assert limit.cesaro_window == window_reference(noise, limit.cesaro, depth)
+    if limit.converges_in_law or not report.certified_extremal:
+        for x, fam in report.extremals:
+            entry = ProbMeasure.point(state_carrier(space), x)
+            assert fam.window == tuple((k, act(m, entry)) for k, m in limit.cesaro_window)
+            assert fam.tail_cycle == (act(limit.cesaro, entry),)
 
 
 @COMMON
