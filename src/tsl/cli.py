@@ -312,14 +312,8 @@ def _fmt(x: Optional[float]) -> str:
     return "" if x is None else format(x, ".12g")
 
 
-def _measure_json(compiled: CompiledProblem, m: ProbMeasure) -> dict:
-    out = {}
-    for k, w in m.atoms:
-        if isinstance(k, TransformationElement):
-            out[compiled.element_label(k)] = _frac(w)
-        else:
-            out[compiled.state_label(k)] = _frac(w)
-    return out
+def _measure_json(label, m: ProbMeasure) -> dict:
+    return {label(k): _frac(w) for k, w in m.atoms}
 
 
 def _family_json(compiled: CompiledProblem, entry: int, fam) -> dict:
@@ -329,9 +323,9 @@ def _family_json(compiled: CompiledProblem, entry: int, fam) -> dict:
         "depth": fam.depth,
         "tail_period": fam.tail_period,
         "window": {
-            str(k): _measure_json(compiled, law) for k, law in fam.window
+            str(k): _measure_json(compiled.state_label, law) for k, law in fam.window
         },
-        "tail_cycle": [_measure_json(compiled, m) for m in fam.tail_cycle],
+        "tail_cycle": [_measure_json(compiled.state_label, m) for m in fam.tail_cycle],
     }
 
 
@@ -357,15 +351,16 @@ def _analysis_payload(
     kinds = classify_elements(closure)
     powers, core = power_core(closure)
     labels = [compiled.element_label(e) for e in closure.elements]
+    element = dict(zip(closure.elements, labels)).__getitem__
     limit = report.limit
     payload: dict = {
         "problem": {
             "mode": compiled.spec.mode,
             "size": compiled.spec.size,
             "noise": {
-                "tail": _measure_json(compiled, noise.tail),
+                "tail": _measure_json(element, noise.tail),
                 "prefix": {
-                    str(-i): _measure_json(compiled, m)
+                    str(-i): _measure_json(element, m)
                     for i, m in enumerate(noise.prefix)
                 },
             },
@@ -386,12 +381,12 @@ def _analysis_payload(
             "as_convergence": limit.as_convergence,
             "converges_in_law": limit.converges_in_law,
             "limit_law": (
-                _measure_json(compiled, limit.nu) if limit.nu is not None else None
+                _measure_json(element, limit.nu) if limit.nu is not None else None
             ),
-            "cesaro_law": _measure_json(compiled, limit.cesaro),
+            "cesaro_law": _measure_json(element, limit.cesaro),
             "window": (
                 {
-                    str(k): _measure_json(compiled, m)
+                    str(k): _measure_json(element, m)
                     for k, m in limit.nu_window
                 }
                 if limit.nu_window is not None
@@ -438,7 +433,7 @@ def _analysis_payload(
     }
     try:
         payload["stationary"] = {
-            "law": _measure_json(compiled, stationary_law(noise.tail)),
+            "law": _measure_json(compiled.state_label, stationary_law(noise.tail)),
             "error": None,
         }
     except MultiplicityError as exc:

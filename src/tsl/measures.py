@@ -306,6 +306,18 @@ class NoiseSpec:
     def is_iid(self) -> bool:
         return all(m == self.tail for m in self.prefix)
 
+    def window(self, cycle: Sequence[ProbMeasure], depth: int, apply) -> tuple:
+        """(k, law) for k = 0 .. -depth, law(k) = apply(noise at k, law(k-1)).
+
+        From the prefix down only the tail acts, so there the laws repeat the
+        tail-consistent ``cycle`` as `SolutionLawFamily.law_at` indexes it.
+        """
+        below = range(-depth, 1 - self.prefix_length)
+        laws = [cycle[(-k - depth - 1) % len(cycle)] for k in below]
+        for k in range(1 - self.prefix_length, 1):
+            laws.append(apply(self.measure_at(k), laws[-1]))
+        return tuple(zip(range(0, -len(laws), -1), reversed(laws)))
+
 
 @dataclass(frozen=True)
 class RecurrentClass:
@@ -667,10 +679,7 @@ def limit_analysis(
     # so every window law from the prefix down is the limit law itself
     if convolve(noise.tail, cesaro) != cesaro:
         raise InternalInconsistencyError("the tail law does not fix its Cesaro limit")
-    laws = [cesaro] * (max(window, noise.prefix_length) - noise.prefix_length + 1)
-    for k in range(-noise.prefix_length + 1, 1):
-        laws.append(convolve(noise.measure_at(k), laws[-1]))
-    cesaro_window = tuple(zip(range(0, -len(laws), -1), reversed(laws)))
+    cesaro_window = noise.window((cesaro,), max(window, noise.prefix_length), convolve)
     nu = cesaro if converges_in_law else None
     nu_window = cesaro_window if converges_in_law else None
 

@@ -2,8 +2,9 @@
 
 A solution is described by its one-dimensional marginal laws: an exact law
 per time k in a finite window, plus a periodic rule for every k below the
-window.  Constructors validate the defining relation law(k) equals the noise
-at k acting on law(k-1), exactly, including across the periodic tail.
+window.  Every family solves law(k) = noise at k acting on law(k-1), exactly.
+The library's own families derive their window from a tail cycle checked
+against the tail noise; `make_family` checks the laws a caller gives.
 
 `classify` runs the decision tree over the limit analysis: almost-sure
 convergence, convergence modulo a subgroup with cancellativity hypotheses,
@@ -143,12 +144,18 @@ class SolutionLawFamily:
         return f"{self.origin.describe()} depth={self.depth} period={self.tail_period}"
 
 
-def _pushed(noise: NoiseSpec, below: ProbMeasure, depth: int) -> dict[int, ProbMeasure]:
-    """The state laws law(k) = noise(k) acting on law(k-1), k = -depth..0, from `below`."""
-    laws = {}
-    for k in range(-depth, 1):
-        laws[k] = below = act(noise.measure_at(k), below)
-    return laws
+def _family(
+    noise: NoiseSpec, cycle: Sequence[ProbMeasure], depth: int, origin: Origin
+) -> SolutionLawFamily:
+    """The family whose laws below a window of `depth` repeat `cycle`, checked against the tail."""
+    cycle = _minimal_cycle(tuple(cycle))
+    if not cycle:
+        raise ValueError("empty tail cycle")
+    p = len(cycle)
+    for j in range(p):
+        if act(noise.tail, cycle[(j + 1) % p]) != cycle[j]:
+            raise ValueError(f"tail cycle inconsistent at offset {j}")
+    return SolutionLawFamily(noise.window(cycle, depth, act), cycle, origin)
 
 
 def make_family(
@@ -157,7 +164,7 @@ def make_family(
     tail_cycle: Sequence[ProbMeasure],
     origin: Origin,
 ) -> SolutionLawFamily:
-    """Build a family and verify the defining relation exactly.
+    """Build a family from given laws and verify the defining relation exactly.
 
     Raises ValueError when a provided law fails law(k) = noise(k) * law(k-1)
     or when the periodic tail is not consistent with the stationary tail
@@ -174,22 +181,16 @@ def make_family(
             f"window depth {depth} too small for a prefix of length "
             f"{noise.prefix_length}"
         )
-    cycle = _minimal_cycle(tuple(tail_cycle))
-    if not cycle:
+    if not tail_cycle:
         raise ValueError("empty tail cycle")
-    for m in list(window_laws.values()) + list(cycle):
+    for m in [*window_laws.values(), *tail_cycle]:
         if m.carrier != state_carrier(noise.space):
             raise ValueError("family laws must be state measures on the noise space")
-    p = len(cycle)
-    for j in range(p):
-        expected = act(noise.tail, cycle[(j + 1) % p])
-        if expected != cycle[j]:
-            raise ValueError(f"tail cycle inconsistent at offset {j}")
-    for k, expected in _pushed(noise, cycle[0], depth).items():
+    family = _family(noise, tail_cycle, depth, origin)
+    for k, expected in reversed(family.window):
         if expected != window_laws[k]:
             raise ValueError(f"law at k={k} does not solve the recursion")
-    window = tuple((k, window_laws[k]) for k in range(0, -depth - 1, -1))
-    return SolutionLawFamily(window, cycle, origin)
+    return family
 
 
 def _dedupe(pairs: Sequence[tuple[int, SolutionLawFamily]]) -> tuple[tuple[int, SolutionLawFamily], ...]:
@@ -207,10 +208,8 @@ def _entry_point_families(
     car = state_carrier(noise.space)
     pairs = []
     for x in range(noise.space.size):
-        cycle = act(law, ProbMeasure.point(car, x))
-        window_laws = _pushed(noise, cycle, depth)
-        fam = make_family(noise, window_laws, (cycle,), Origin("extremal", entry_state=x))
-        pairs.append((x, fam))
+        cycle = (act(law, ProbMeasure.point(car, x)),)
+        pairs.append((x, _family(noise, cycle, depth, Origin("extremal", entry_state=x))))
     return pairs
 
 
@@ -281,15 +280,11 @@ def cyclic_coset_families(
     car = state_carrier(noise.space)
     pairs = []
     for a in reps:
-        cycle = []
-        for j in range(drift_order):
-            shift = (a + (-depth - 1 - j) * g0) % n
-            cycle.append(ProbMeasure.uniform(car, [(shift + e) % n for e in h]))
-        window_laws = _pushed(noise, cycle[0], depth)
-        fam = make_family(
-            noise, window_laws, tuple(cycle), Origin("extremal", entry_state=a)
-        )
-        pairs.append((a, fam))
+        cycle = [
+            ProbMeasure.uniform(car, [(a + (-depth - 1 - j) * g0 + e) % n for e in h])
+            for j in range(drift_order)
+        ]
+        pairs.append((a, _family(noise, cycle, depth, Origin("extremal", entry_state=a))))
     return _dedupe(pairs)
 
 
@@ -352,9 +347,7 @@ def uniform_solution(
     n = noise.space.size
     car = state_carrier(noise.space)
     u = ProbMeasure.uniform(car, range(n))
-    depth = max(window, noise.prefix_length)
-    window_laws = {k: u for k in range(0, -depth - 1, -1)}
-    return make_family(noise, window_laws, (u,), Origin("uniform-group"))
+    return _family(noise, (u,), max(window, noise.prefix_length), Origin("uniform-group"))
 
 
 def mixture_family(

@@ -7,7 +7,9 @@ implementation and stays the authority the tests defer to.  The exceptions
 are `strongness_residuals_reference`, which keeps the object-level `convolve`
 chain that the library's integer stepping replaced, `window_reference`, which
 keeps the convolution through every window position that the library's fixed
-point below the prefix replaced, and `generate_closure_reference`, which
+point below the prefix replaced, `state_window_reference`, which keeps the
+same push for state laws that the library's tail-cycle window replaced, and
+`generate_closure_reference`, which
 keeps the all-pairs closure loop that the library's Froidure-Pin enumeration
 replaced.
 """
@@ -18,7 +20,7 @@ import cmath
 import itertools
 from fractions import Fraction
 
-from tsl import CapacityError, compose, convolve
+from tsl import CapacityError, act, compose, convolve
 
 _M64 = (1 << 64) - 1
 _TOL = 1e-9
@@ -212,6 +214,18 @@ def window_reference(noise, base, depth: int):
     below = base
     for k in range(-depth, 1):
         below = laws[k] = convolve(noise.measure_at(k), below)
+    return tuple((k, laws[k]) for k in range(0, -depth - 1, -1))
+
+
+def state_window_reference(noise, below, depth: int):
+    """State laws at k = 0 down to -depth: `below` at -depth - 1, acted on up.
+
+    law(k) = noise(k) acting on law(k - 1) at every position, the tail
+    positions included, so nothing assumes a periodic tail.
+    """
+    laws = {}
+    for k in range(-depth, 1):
+        below = laws[k] = act(noise.measure_at(k), below)
     return tuple((k, laws[k]) for k in range(0, -depth - 1, -1))
 
 

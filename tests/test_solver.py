@@ -337,6 +337,27 @@ def test_classify_builds_the_entry_point_families_once(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize(
+    "ctx, noise",
+    [
+        cyclic_noise(4, {0: HALF, 2: HALF}),
+        (three_ctx(), two_map_noise(HALF, HALF, (element_measure(THREE, {(1, 1, 2): 1}),))),
+        cyclic_noise(6, {1: HALF, 4: HALF}, ({0: HALF, 1: HALF}, {2: 1})),
+    ],
+    ids=["iid", "prefixed", "prefixed-drift"],
+)
+def test_classify_state_steps_do_not_grow_with_the_window(monkeypatch, ctx, noise):
+    # each family's window comes from its tail cycle: below the prefix no
+    # state law is acted on, whatever the window
+    counts = []
+    for window in (8, 64):
+        calls = count_calls(monkeypatch, tsl.solver, "act")
+        classify(noise, ctx, window=window)
+        counts.append(len(calls))
+        monkeypatch.undo()
+    assert counts[0] == counts[1] > 0
+
+
 def test_classify_subgroup_branch_outside_the_cancellativity_hypotheses():
     # the closure {a, b} is a group of order 2, hence left cancellative, but
     # its maps are not injective

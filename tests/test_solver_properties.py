@@ -30,7 +30,12 @@ from tsl import (
 )
 
 from helpers import cyclic_noise
-from oracles import fourier_oracle, strongness_residuals_reference, window_reference
+from oracles import (
+    fourier_oracle,
+    state_window_reference,
+    strongness_residuals_reference,
+    window_reference,
+)
 from test_measures_properties import measure_batch
 
 COMMON = settings(max_examples=120, derandomize=True, deadline=None)
@@ -65,10 +70,15 @@ def semigroup_noise(draw):
 @st.composite
 def cyclic_noise_spec(draw, max_modulus: int = 8):
     n = draw(st.integers(2, max_modulus))
-    residues = draw(
-        st.sets(st.integers(0, n - 1), min_size=1, max_size=min(n, 3))
-    )
-    return n, _weights(draw, sorted(residues))
+
+    def weights() -> dict:
+        residues = draw(
+            st.sets(st.integers(0, n - 1), min_size=1, max_size=min(n, 3))
+        )
+        return _weights(draw, sorted(residues))
+
+    tail = weights()
+    return n, tail, tuple(weights() for _ in range(draw(st.integers(0, 2))))
 
 
 @COMMON
@@ -92,8 +102,8 @@ def test_families_solve_the_recursion_externally(data):
 @given(semigroup_noise())
 def test_window_laws_match_the_convolution_reference(data):
     # the limit analysis takes the Cesaro law as fixed below the prefix, and
-    # the entry-point families push its action on x through the state noise;
-    # both must agree with convolving every element law and then acting
+    # every family derives its window from its tail cycle; both must agree
+    # with pushing every window position through its noise law
     space, noise = data
     report = classify(noise, semigroup_context(space))
     limit = report.limit
@@ -104,13 +114,16 @@ def test_window_laws_match_the_convolution_reference(data):
             entry = ProbMeasure.point(state_carrier(space), x)
             assert fam.window == tuple((k, act(m, entry)) for k, m in limit.cesaro_window)
             assert fam.tail_cycle == (act(limit.cesaro, entry),)
+    for _, fam in report.extremals:
+        below = fam.law_at(-fam.depth - 1)
+        assert fam.window == state_window_reference(noise, below, fam.depth)
 
 
 @COMMON
 @given(cyclic_noise_spec())
 def test_cyclic_families_solve_the_recursion_externally(data):
-    n, weights = data
-    ctx, noise = cyclic_noise(n, weights)
+    n, weights, prefix = data
+    ctx, noise = cyclic_noise(n, weights, prefix)
     report = classify(noise, ctx)
     for _, fam in report.extremals:
         below = fam.law_at(-fam.depth - 1)
@@ -120,6 +133,7 @@ def test_cyclic_families_solve_the_recursion_externally(data):
         for j in range(fam.tail_period):
             deep = -fam.depth - 1 - j
             assert fam.law_at(deep) == act(noise.tail, fam.law_at(deep - 1))
+            assert fam.law_at(deep) == fam.law_at(deep - fam.tail_period)
 
 
 def _yamada_watanabe(report) -> None:
@@ -148,8 +162,8 @@ def test_yamada_watanabe_consistency_on_semigroups(data):
 @COMMON
 @given(cyclic_noise_spec())
 def test_yamada_watanabe_consistency_on_cyclic_groups(data):
-    n, weights = data
-    ctx, noise = cyclic_noise(n, weights)
+    n, weights, prefix = data
+    ctx, noise = cyclic_noise(n, weights, prefix)
     report = classify(noise, ctx)
     _yamada_watanabe(report)
     assert report.fourier is not None
@@ -162,8 +176,8 @@ def test_yamada_watanabe_consistency_on_cyclic_groups(data):
 @COMMON
 @given(cyclic_noise_spec(max_modulus=12))
 def test_fourier_matches_the_independent_oracle(data):
-    n, weights = data
-    ctx, noise = cyclic_noise(n, weights)
+    n, weights, prefix = data
+    ctx, noise = cyclic_noise(n, weights, prefix)
     report = fourier_trichotomy(noise, ctx)
     oracle = fourier_oracle(n, weights)
     assert report.pi == oracle["pi"]
@@ -176,8 +190,8 @@ def test_fourier_matches_the_independent_oracle(data):
 @COMMON
 @given(cyclic_noise_spec(max_modulus=12))
 def test_fourier_structure(data):
-    n, weights = data
-    ctx, noise = cyclic_noise(n, weights)
+    n, weights, prefix = data
+    ctx, noise = cyclic_noise(n, weights, prefix)
     rep = fourier_trichotomy(noise, ctx)
     z = set(rep.z_mu)
     assert 0 in z
