@@ -345,6 +345,7 @@ def _analysis_payload(
     report: ClassificationReport,
     window: int,
     cap: int,
+    as_json: bool,
 ) -> dict:
     noise = compiled.noise
     closure = noise.closure
@@ -389,7 +390,8 @@ def _analysis_payload(
                     str(k): _measure_json(element, m)
                     for k, m in limit.nu_window
                 }
-                if limit.nu_window is not None
+                # only the JSON form prints the window laws
+                if as_json and limit.nu_window is not None
                 else None
             ),
             "recurrent_classes": [
@@ -556,7 +558,7 @@ def _cmd_analyze(args) -> int:
         window=args.window,
         subgroup_cap=args.subgroup_cap,
     )
-    payload = _analysis_payload(compiled, report, args.window, args.subgroup_cap)
+    payload = _analysis_payload(compiled, report, args.window, args.subgroup_cap, args.json)
     if args.json:
         sys.stdout.write(_json_dump(payload))
     else:

@@ -12,6 +12,22 @@ stream still moves by GAMMA), and any other factor is read from a 256-entry
 guide on the draw's top byte (Chen & Asau, AIIE Trans. 6, 1974), with the
 breakpoint search only where a breakpoint splits that byte's bucket.
 
+Noise where some stage can absorb runs each trial alone and stops drawing at
+the absorbing factor (below).  Otherwise every factor is needed, and the
+kernel runs the trials in blocks of 256, trial j's state in bits 128j to
+128j + 63 of one int S.  With rep the int with a 1 at the bottom of every
+lane and M = (2^64 - 1) * rep, one draw for every lane is S = (S + GAMMA *
+rep) & M and the two xorshift-multiply rounds, with & M before each
+multiply.  That is exact: every lane holds a value below 2^64, so a 64 x
+64-bit product fits in its 128 bits and carries into no other lane, and the
+bits that a right shift moves in from the next lane land at 64 and above,
+where the mask clears them before they reach a multiply.  Byte 16j + 7 of
+the mixed int, in little-endian order, is the top byte of lane j's mix,
+which reads the guide; only lanes in a split bucket take their full draw.
+A maximal run of k point-mass factors is one S + (k * GAMMA mod 2^64) * rep
+and one lookup per trial in a jump map, the k-th power of the map
+p -> right[p][atom], built by repeated squaring.
+
 Per trial the draw order is fixed: the noise for k = 0, -1, ..., -depth+1
 first, then any entry-state draws.  The samplers and the trial kernel read
 `NoiseSpec.closure` directly: ids are closure ids, and products step along
@@ -39,9 +55,9 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, groupby
 from math import sqrt
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from .algebra import TransformationElement
 from .errors import CarrierMismatchError, InternalInconsistencyError
@@ -78,6 +94,8 @@ __all__ = [
 
 _MASK = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
+# trials per block of the kernel for noise that never absorbs
+_BLOCK = 256
 
 
 def _mix64(z: int) -> int:
@@ -202,18 +220,35 @@ def _plan(stages: list[_Stage], depth: int) -> list[_Stage]:
     return [stages[min(m, len(stages) - 1)] for m in range(depth)]
 
 
-def _trial_kernel(
-    noise: NoiseSpec, stages: list[_Stage], depth: int
-) -> Callable[[SplitMix64], tuple[int, Optional[int]]]:
-    """The trial loop over `depth` factors: stream -> (product id, absorbed_at).
+def _jump(table: Sequence[Sequence[int]], atom: int, count: int) -> list[int]:
+    """The product after `count` factors `atom`, for every product row p.
 
-    ``absorbed_at`` is the first count t of factors whose product lies in
-    the absorbing set of stage t-1, None if there is none within the
-    depth.  Every later factor fixes that product, so drawing stops there
-    and the stream is left after draw t; the product id is the product of
-    all `depth` factors either way.  When no stage can absorb, the loop
-    makes no membership test.  Products step along ``closure.right`` by
-    atom id, a generator column (see `_stages`).
+    The `count`-th power of the map p -> table[p][atom] over the rows of
+    ``table`` (closure ids, then "no factor yet"), by repeated squaring:
+    O(len(table) * log count) lookups.
+    """
+    step, jump = [row[atom] for row in table], list(range(len(table)))
+    while count:
+        if count & 1:
+            jump = [step[p] for p in jump]
+        count >>= 1
+        if count:
+            step = [step[p] for p in step]
+    return jump
+
+
+def _trial_kernel(
+    noise: NoiseSpec, stages: list[_Stage], cfg: SimConfig
+) -> Iterator[tuple[SplitMix64, int, Optional[int]]]:
+    """Run the trials in trial order: (stream, product id, absorbed_at) each.
+
+    The stream is `trial_stream(cfg.seed, t)`.  ``absorbed_at`` is the
+    first count t of factors whose product lies in the absorbing set of
+    stage t-1, None if there is none within the depth.  Every later factor
+    fixes that product, so drawing stops there and the stream is left after
+    draw t; the product id is the product of all ``cfg.depth`` factors
+    either way.  Products step along ``closure.right`` by atom id, a
+    generator column (see `_stages`).
 
     Each factor moves the stream state by GAMMA, as `SplitMix64.next_u64`
     does, but only mixes it when the factor depends on the draw.  A
@@ -223,24 +258,26 @@ def _trial_kernel(
     because ``z >> 31 < 2^33``; only a split bucket (-1) finishes the draw
     and searches the breakpoints.  Every factor is the atom that
     ``ids[bisect_right(breaks, draw)]`` gives.
+
+    When some stage can absorb, each trial runs alone and exits early.
+    Otherwise the trials run in blocks of `_BLOCK`, one 128-bit lane per
+    stream in one int (see the module docstring), each stream is left after
+    all its draws, and a maximal run of point-mass factors is one step.
     """
-    # plain tuples: the loops below unpack them faster than `_Stage`s
-    plan = [tuple(stage) for stage in _plan(stages, depth)]
+    plan = _plan(stages, cfg.depth)
     closure = noise.closure
     # one extra row for "no factor yet": generator column j is element j, so
     # `closure.generators` maps each factor to itself
     table = (*closure.right, closure.generators)
     start = closure.size
 
-    # The same loop without the absorption test: on group carriers, where
-    # nothing absorbs, the test costs about 13% of perfbench's mc-group
-    # run_s, medians 0.60 against 0.52 s (10 of 10 alternating pairs,
-    # Python 3.11, Intel Xeon).
-    if not any(absorbing for *_, absorbing in plan):
-
-        def run_all(rng: SplitMix64) -> tuple[int, Optional[int]]:
-            state, pid = rng.state, start
-            for breaks, ids, guide, _ in plan:
+    if any(stage.absorbing for stage in plan):
+        # plain tuples: the loop below unpacks them faster than `_Stage`s
+        plan = [tuple(stage) for stage in plan]
+        for trial in range(cfg.trials):
+            rng = trial_stream(cfg.seed, trial)
+            state, pid, absorbed_at = rng.state, start, None
+            for t, (breaks, ids, guide, absorbing) in enumerate(plan, 1):
                 state = (state + GAMMA) & _MASK
                 if guide is None:
                     pid = table[pid][ids[0]]
@@ -251,31 +288,59 @@ def _trial_kernel(
                     if f < 0:
                         f = ids[bisect_right(breaks, z ^ (z >> 31))]
                     pid = table[pid][f]
+                if pid in absorbing:
+                    absorbed_at = t
+                    break
             rng.state = state
-            return pid, None
+            yield rng, pid, absorbed_at
+        return
 
-        return run_all
-
-    def run_until_absorbed(rng: SplitMix64) -> tuple[int, Optional[int]]:
-        state, pid = rng.state, start
-        for t, (breaks, ids, guide, absorbing) in enumerate(plan, 1):
-            state = (state + GAMMA) & _MASK
-            if guide is None:
-                pid = table[pid][ids[0]]
-            else:
-                z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-                f = guide[z >> 56]
-                if f < 0:
-                    f = ids[bisect_right(breaks, z ^ (z >> 31))]
-                pid = table[pid][f]
-            if pid in absorbing:
-                rng.state = state
-                return pid, t
-        rng.state = state
-        return pid, None
-
-    return run_until_absorbed
+    # (stream increment, jump map or None, breaks, ids, guide) per step: one
+    # step per mixed factor, one per maximal run of point-mass factors
+    steps = []
+    for point, run in groupby(plan, key=lambda stage: stage.guide is None):
+        if not point:
+            steps += [(GAMMA, None, *stage[:3]) for stage in run]
+            continue
+        atoms = [stage.ids[0] for stage in run]
+        jump = list(range(len(table)))
+        for atom, same in groupby(atoms):
+            power = _jump(table, atom, sum(1 for _ in same))
+            jump = [power[p] for p in jump]
+        steps.append(((len(atoms) * GAMMA) & _MASK, jump, None, None, None))
+    # each row ends in -1, which a split bucket's guide entry (-1) picks: a
+    # lane whose product comes out -1 is finished from its full draw
+    table = [(*row, -1) for row in table]
+    skip = (cfg.depth * GAMMA) & _MASK
+    for first in range(0, cfg.trials, _BLOCK):
+        last = min(first + _BLOCK, cfg.trials)
+        rngs = [trial_stream(cfg.seed, t) for t in range(first, last)]
+        lanes = len(rngs)
+        rep = ((1 << (128 * lanes)) - 1) // ((1 << 128) - 1)  # 1 in every lane
+        m = _MASK * rep
+        s = int.from_bytes(
+            b"".join([rng.state.to_bytes(16, "little") for rng in rngs]), "little"
+        )
+        pids = [start] * lanes
+        for inc, jump, breaks, ids, guide in steps:
+            s = (s + inc * rep) & m
+            if jump is not None:
+                pids = [jump[p] for p in pids]
+                continue
+            z = (((s ^ (s >> 30)) & m) * 0xBF58476D1CE4E5B9) & m
+            z = ((z ^ (z >> 27)) & m) * 0x94D049BB133111EB
+            lane = z.to_bytes(16 * lanes, "little")
+            stepped = [table[p][guide[b]] for p, b in zip(pids, lane[7::16])]
+            if -1 in stepped:
+                for j, pid in enumerate(stepped):
+                    if pid < 0:
+                        u = int.from_bytes(lane[16 * j : 16 * j + 8], "little")
+                        f = ids[bisect_right(breaks, u ^ (u >> 31))]
+                        stepped[j] = table[pids[j]][f]
+            pids = stepped
+        for rng, pid in zip(rngs, pids):
+            rng.state = (rng.state + skip) & _MASK
+            yield rng, pid, None
 
 
 def _skip_to_window_end(rng: SplitMix64, depth: int, absorbed_at: Optional[int]) -> None:
@@ -332,12 +397,9 @@ def _entry_runs(
     The kernel, `_skip_to_window_end`, then the entry draws in order: the
     documented draw order.
     """
-    run_trial = _trial_kernel(noise, _stages(noise), cfg.depth)
     samplers = [_sampler(law.atoms) for law in entries]
     elements = noise.closure.elements
-    for trial in range(cfg.trials):
-        rng = trial_stream(cfg.seed, trial)
-        pid, absorbed_at = run_trial(rng)
+    for trial, (rng, pid, absorbed_at) in enumerate(_trial_kernel(noise, _stages(noise), cfg)):
         _skip_to_window_end(rng, cfg.depth, absorbed_at)
         draws = [keys[bisect_right(breaks, rng.next_u64())] for breaks, keys in samplers]
         yield trial, elements[pid].image, draws
@@ -419,11 +481,9 @@ def _tally(
 ) -> tuple[list[int], list[int]]:
     """Run each trial once: product counts by closure id, and the absorption
     times of the trials that absorbed, in trial order."""
-    run_trial = _trial_kernel(noise, stages, cfg.depth)
     counts = [0] * noise.closure.size
     times = []
-    for trial in range(cfg.trials):
-        pid, absorbed = run_trial(trial_stream(cfg.seed, trial))
+    for _, pid, absorbed in _trial_kernel(noise, stages, cfg):
         counts[pid] += 1
         if absorbed is not None:
             times.append(absorbed)

@@ -296,6 +296,22 @@ def test_analyze_builds_the_noise_closure_once(capsys, specs_dir, monkeypatch):
     assert len(calls) == 1
 
 
+def test_text_analyze_builds_no_limit_window(capsys, specs_dir, monkeypatch):
+    # only --json prints the limit's window laws, one per k = 0..-window:
+    # text mode makes exactly that many fewer `_measure_json` calls
+    calls = count_calls(monkeypatch, tsl.cli, "_measure_json")
+    spec = str(specs_dir / "three_state.tsl")
+    for window in (8, 64):
+        made = []
+        for mode in ([], ["--json"]):
+            calls.clear()
+            rc, _, _ = run(capsys, ["analyze", spec, "--window", str(window), *mode])
+            assert rc == 0
+            made.append(len(calls))
+        text, full = made
+        assert full - text == window + 1
+
+
 def test_analyze_keeps_a_closure_past_the_subgroup_cap_as_its_right_graph(
     capsys, tmp_path, monkeypatch
 ):
@@ -437,11 +453,17 @@ def test_simulate_table_and_csv_are_frozen(capsys, specs_dir, tmp_path):
 def test_simulate_builds_one_closure_and_runs_each_trial_once(capsys, specs_dir, monkeypatch):
     closures = count_calls(monkeypatch, tsl.measures, "generate_closure")
     streams = count_calls(monkeypatch, tsl.montecarlo, "trial_stream")
-    argv = ["simulate", str(specs_dir / "three_state.tsl"), "--trials", "50"]
-    rc, _, _ = run(capsys, argv)
-    assert rc == 0
-    assert len(closures) == 1
-    assert len(streams) == 50
+    # three_state absorbs, so its trials run alone; z4_pair never does, so
+    # its trials run in blocks, and 300 trials fill one block and part of
+    # the next
+    for name, trials in (("three_state", 50), ("z4_pair", 300)):
+        closures.clear()
+        streams.clear()
+        argv = ["simulate", str(specs_dir / f"{name}.tsl"), "--trials", str(trials)]
+        rc, _, _ = run(capsys, argv)
+        assert rc == 0
+        assert len(closures) == 1
+        assert len(streams) == trials
 
 
 # two declared prefix laws, at 0 and -2, with the tail filling the gap at -1

@@ -4,6 +4,7 @@ exact laws against the definitions."""
 from __future__ import annotations
 
 from bisect import bisect_right
+from fractions import Fraction
 from statistics import median_high
 
 from hypothesis import example, given, strategies as st
@@ -23,7 +24,9 @@ from tsl import (
 )
 from tsl.montecarlo import (
     GAMMA,
+    _BLOCK,
     _exact_absorption,
+    _jump,
     _skip_to_window_end,
     _stages,
     _trial_kernel,
@@ -57,6 +60,45 @@ def _entry(space, states) -> ProbMeasure:
     return states[0] if states else ProbMeasure.point(state_carrier(space), 0)
 
 
+def _check_trials(noise, batch, entry, cfg) -> list:
+    """Each trial of the kernel, the coupling and the state observable against
+    the full-draw reference; returns (product, first entry) per trial."""
+    _, (tail, *prefix), _ = batch
+    prefix_images, tail_images = [_images(m) for m in prefix], _images(tail)
+    depth, seed = cfg.depth, cfg.seed
+    family = SolutionLawFamily(((0, entry),), (entry,), Origin("extremal"))
+    couplings = list(coupling_samples(noise, family, family, cfg))
+    runs = list(_trial_kernel(noise, _stages(noise), cfg))
+    assert len(runs) == len(couplings) == cfg.trials
+    seen, states = [], [0] * noise.space.size
+    for trial, ((rng, pid, got_at), coupling) in enumerate(zip(runs, couplings)):
+        start = trial_stream(seed, trial).state
+        product, absorbed_at = backward_product_reference(
+            prefix_images, tail_images, depth, start
+        )
+        draws = splitmix64_reference(start, depth + 2)
+
+        assert noise.closure.elements[pid].image == product
+        assert got_at == absorbed_at
+        # drawing stops right after the absorbing factor ...
+        stop = depth if absorbed_at is None else absorbed_at
+        assert SplitMix64(rng.state).next_u64() == draws[stop]
+        # ... and the skip leaves the stream where all depth draws would
+        _skip_to_window_end(rng, depth, got_at)
+        assert [rng.next_u64() for _ in range(2)] == draws[depth:]
+
+        x1, x2 = (pick_reference(dict(entry.atoms), u) for u in draws[depth:])
+        assert coupling.entry_first == x1
+        assert coupling.entry_second == x2
+        assert coupling.final_first == product[x1]
+        assert coupling.final_second == product[x2]
+        states[product[x1]] += 1
+        seen.append((product, x1))
+    state_law = estimate_law(noise, cfg, "state", entry)
+    assert [state_law.count(x) for x in range(noise.space.size)] == states
+    return seen
+
+
 @COMMON
 @given(noises, depths, seeds)
 # a first factor that the tail fixes but the next prefix factor does not
@@ -74,40 +116,52 @@ def _entry(space, states) -> ProbMeasure:
 def test_trial_kernel_matches_the_full_draw_reference(batch, depth, seed):
     space, (tail, *prefix), states = batch
     noise = NoiseSpec(tail, tuple(prefix))
-    run_trial = _trial_kernel(noise, _stages(noise), depth)
-    prefix_images, tail_images = [_images(m) for m in prefix], _images(tail)
     entry = _entry(space, states)
-    family = SolutionLawFamily(((0, entry),), (entry,), Origin("extremal"))
-    couplings = list(coupling_samples(noise, family, family, SimConfig(depth, TRIALS, seed)))
-    for trial in range(TRIALS):
-        rng = trial_stream(seed, trial)
-        start = rng.state
-        product, absorbed_at = backward_product_reference(
-            prefix_images, tail_images, depth, start
-        )
-        draws = splitmix64_reference(start, depth + 2)
-
-        pid, got_at = run_trial(rng)
-        assert noise.closure.elements[pid].image == product
-        assert got_at == absorbed_at
-        # drawing stops right after the absorbing factor ...
-        stop = depth if absorbed_at is None else absorbed_at
-        assert SplitMix64(rng.state).next_u64() == draws[stop]
-        # ... and the skip leaves the stream where all depth draws would
-        _skip_to_window_end(rng, depth, got_at)
-        assert [rng.next_u64() for _ in range(2)] == draws[depth:]
-
-        x1, x2 = (pick_reference(dict(entry.atoms), u) for u in draws[depth:])
-        assert couplings[trial].entry_first == x1
-        assert couplings[trial].entry_second == x2
-        assert couplings[trial].final_first == product[x1]
-        assert couplings[trial].final_second == product[x2]
-
+    seen = _check_trials(noise, batch, entry, SimConfig(depth, TRIALS, seed))
+    for trial, (product, x1) in enumerate(seen):
         # the state observable, run on this trial's stream alone: trial t
         # under seed s reads the stream of trial 0 under seed s + t * GAMMA
         alone = SimConfig(depth, 1, (seed + trial * GAMMA) & MASK)
         state_law = estimate_law(noise, alone, "state", entry)
         assert state_law.count(product[x1]) == 1
+
+
+def test_trial_blocks_match_the_full_draw_reference_across_block_edges():
+    # a 1/3, 2/3 group tail behind a mixed prefix stage and a run of two
+    # different point masses: nothing absorbs, so the trials run in blocks,
+    # and the breakpoint ceil(2^64 / 3) splits bucket 0x55, which some lanes
+    # of every block hit
+    batch = _absorption_case(
+        3,
+        {(1, 0, 2): "1/3", (1, 2, 0): "2/3"},
+        {(0, 2, 1): "1/3", (2, 0, 1): "2/3"},
+        {(2, 0, 1): 1},
+        {(0, 2, 1): 1},
+    )
+    space, (tail, *prefix), _ = batch
+    noise = NoiseSpec(tail, tuple(prefix))
+    entry = ProbMeasure.from_weights(
+        state_carrier(space), {0: Fraction(1, 2), 1: Fraction(1, 4), 2: Fraction(1, 4)}
+    )
+    trials = 2 * _BLOCK + 3
+    for depth in (1, 7):
+        for seed in (1, MASK):
+            _check_trials(noise, batch, entry, SimConfig(depth, trials, seed))
+
+
+@COMMON
+@given(noises)
+def test_jump_maps_equal_single_steps(batch):
+    _, (tail, *prefix), _ = batch
+    closure = NoiseSpec(tail, tuple(prefix)).closure
+    # the closure's rows, then the "no factor yet" row
+    table = (*closure.right, closure.generators)
+    for atom in range(len(closure.generators)):
+        walk = list(range(len(table)))
+        for k in range(1, 4001):
+            walk = [table[p][atom] for p in walk]
+            if k <= 70 or k == 4000:
+                assert _jump(table, atom, k) == walk
 
 
 @COMMON
@@ -144,9 +198,9 @@ def test_stage_guides_agree_with_the_pick_reference(batch):
 def test_paths_and_kernel_share_one_absorption_time(batch, depth, seed):
     _, (tail, *prefix), _ = batch
     noise = NoiseSpec(tail, tuple(prefix))
-    run_trial = _trial_kernel(noise, _stages(noise), depth)
-    for sample in simulate_paths(noise, SimConfig(depth, TRIALS, seed)):
-        pid, absorbed_at = run_trial(trial_stream(seed, sample.trial))
+    cfg = SimConfig(depth, TRIALS, seed)
+    runs = _trial_kernel(noise, _stages(noise), cfg)
+    for sample, (_, pid, absorbed_at) in zip(simulate_paths(noise, cfg), runs, strict=True):
         assert sample.absorbed_at == absorbed_at
         assert sample.products[-1] == noise.closure.elements[pid]
 
