@@ -11,7 +11,8 @@ point below the prefix replaced, `state_window_reference`, which keeps the
 same push for state laws that the library's tail-cycle window replaced, and
 `generate_closure_reference`, which
 keeps the all-pairs closure loop that the library's Froidure-Pin enumeration
-replaced.
+replaced, and `right_invariance_reference`, which keeps the measure-level
+pushforward per subgroup element that the library's weight dicts replaced.
 """
 
 from __future__ import annotations
@@ -541,6 +542,13 @@ def subgroups_reference(elements, max_gen: int) -> set[tuple[int, ...]]:
         )
 
     return {tuple(sorted(index[m] for m in c)) for c in candidates if is_group(c)}
+
+
+def right_invariance_reference(nu, subgroup) -> bool:
+    """True iff pushing nu forward by sigma -> sigma h gives nu back for every h."""
+    return all(
+        nu.pushforward(lambda sigma: compose(sigma, h)) == nu for h in subgroup.elements
+    )
 
 
 def pick_reference(weights: dict, u: int):

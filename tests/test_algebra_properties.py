@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
+from math import comb
+
+import pytest
 from hypothesis import example, given, settings, strategies as st
+
+import tsl.algebra
 
 from tsl import (
     CapacityError,
@@ -15,6 +21,7 @@ from tsl import (
     coset_structure,
     cyclic_group_context,
     find_subgroups,
+    full_transformation_monoid,
     generate_closure,
     identity_element,
     is_left_cancellative,
@@ -23,6 +30,7 @@ from tsl import (
     power_orbit_intersection,
 )
 
+from helpers import count_calls
 from oracles import compose_images, generate_closure_reference, subgroups_reference
 
 COMMON = settings(max_examples=120, derandomize=True, deadline=None)
@@ -250,6 +258,56 @@ def test_found_subgroups_are_every_cycle_and_closure_subgroup(sg, max_gen):
     # the search closes no one-element set: its group closures are cycle parts
     found = {sub.member_ids for sub in find_subgroups(sg, max_gen=max_gen, cap=64)}
     assert found == subgroups_reference(sg.elements, max_gen)
+
+
+@pytest.mark.parametrize("max_gen", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_full_monoid_subgroups_are_every_cycle_and_closure_subgroup(n, max_gen):
+    sg = full_transformation_monoid(StateSpace.of_size(n))
+    found = {sub.member_ids for sub in find_subgroups(sg, max_gen=max_gen, cap=64)}
+    assert found == subgroups_reference(sg.elements, max_gen)
+
+
+def _maximal_subgroup_orders(n: int) -> list[int]:
+    """|H_e| for each idempotent e of the full monoid on n points.
+
+    In that monoid two maps are H-related exactly when they have the same
+    image and the same kernel, so H_e is counted over all n^n maps.
+    """
+    maps = list(itertools.product(range(n), repeat=n))
+
+    def kernel(f):
+        return frozenset(frozenset(x for x in range(n) if f[x] == f[y]) for y in range(n))
+
+    return [
+        sum(1 for g in maps if set(g) == set(e) and kernel(g) == kernel(e))
+        for e in maps
+        if compose_images(e, e) == e
+    ]
+
+
+@pytest.mark.parametrize("max_gen", [2, 3])
+def test_subgroup_search_closes_only_sets_inside_one_maximal_subgroup(
+    monkeypatch, max_gen
+):
+    # T3: S3, six H-classes of order 2 and three of order 1, where its 27
+    # elements make C(27, 2) = 351 pairs
+    calls = count_calls(monkeypatch, tsl.algebra, "_closure_ids")
+    find_subgroups(full_transformation_monoid(StateSpace.of_size(3)), max_gen=max_gen)
+    orders = _maximal_subgroup_orders(3)
+    assert sorted(orders) == [1, 1, 1, 2, 2, 2, 2, 2, 2, 6]
+    expected = sum(comb(h, r) for h in orders for r in range(2, max_gen + 1))
+    assert len(calls) == expected == {2: 21, 3: 41}[max_gen]
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_subgroup_search_prunes_nothing_on_a_cyclic_group(monkeypatch, n):
+    # every element of Z/n has the one identity, so every pair is closed
+    sg = cyclic_group_context(n).ambient_semigroup()
+    calls = count_calls(monkeypatch, tsl.algebra, "_closure_ids")
+    found = {sub.member_ids for sub in find_subgroups(sg, cap=64)}
+    assert len(calls) == comb(n, 2)
+    assert found == subgroups_reference(sg.elements, 2)
 
 
 @COMMON

@@ -312,15 +312,18 @@ def test_text_analyze_builds_no_limit_window(capsys, specs_dir, monkeypatch):
         assert full - text == window + 1
 
 
+# T4: a transposition, the 4-cycle and a rank-3 map generate all 256 maps
+T4_TEXT = (
+    "space 4\ngen t = 2 1 3 4\ngen c = 2 3 4 1\ngen m = 1 1 3 4\n"
+    "noise iid t:1/3 c:1/3 m:1/3\n"
+)
+
+
 def test_analyze_keeps_a_closure_past_the_subgroup_cap_as_its_right_graph(
     capsys, tmp_path, monkeypatch
 ):
-    # T4: a transposition, the 4-cycle and a rank-3 map generate all 256 maps
     path = tmp_path / "t4.tsl"
-    path.write_text(
-        "space 4\ngen t = 2 1 3 4\ngen c = 2 3 4 1\ngen m = 1 1 3 4\n"
-        "noise iid t:1/3 c:1/3 m:1/3\n"
-    )
+    path.write_text(T4_TEXT)
     problems = []
 
     def compile_and_keep(spec):
@@ -336,6 +339,22 @@ def test_analyze_keeps_a_closure_past_the_subgroup_cap_as_its_right_graph(
         closure = compiled.noise.closure
         assert closure.size == 256
         assert "cayley" not in closure.__dict__
+
+
+def test_analyze_searches_the_full_monoid_t4_for_its_subgroup(capsys, tmp_path):
+    # the ambient monoid has 256 elements, so the search runs only under a
+    # raised cap
+    path = tmp_path / "t4.tsl"
+    path.write_text(T4_TEXT)
+    rc, out, err = run(capsys, ["analyze", "--json", "--subgroup-cap", "256", str(path)])
+    assert (rc, err) == (0, "")
+    limits = json.loads(out)["limits"]
+    assert limits["qualifying_subgroup_orders"] == [4, 4, 4, 4]
+    assert limits["subgroup"] == {
+        "members": ["(1 2 3 4)", "(2 1 4 3)", "(3 4 1 2)", "(4 3 2 1)"],
+        "order": 4,
+    }
+    assert limits["subgroup_error"] is None
 
 
 def test_analyze_refuses_an_over_cap_group_before_building_it(capsys, tmp_path, monkeypatch):

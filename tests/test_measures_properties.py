@@ -19,6 +19,9 @@ from tsl import (
     compose,
     convolve,
     element_carrier,
+    find_subgroups,
+    generate_closure,
+    is_right_invariant,
     mix,
     state_carrier,
     stationary_law,
@@ -35,6 +38,7 @@ from oracles import (
     dense_stationary,
     kernel_classes_reference,
     product_chain_reference,
+    right_invariance_reference,
     stagewise_product_law,
 )
 
@@ -121,6 +125,23 @@ def test_convolution_support_is_the_product_set(batch):
     _, (m1, m2), _ = batch
     expected = {compose(a, b) for a in m1.support for b in m2.support}
     assert set(convolve(m1, m2).support) == expected
+
+
+@COMMON
+@given(measure_batch(2, max_states=3), st.data())
+def test_right_invariance_matches_the_pushforward_reference(batch, data):
+    space, (mu, other), _ = batch
+    sg = generate_closure(space, [*mu.support, *other.support])
+    sub = data.draw(st.sampled_from(find_subgroups(sg)))
+    invariant = convolve(mu, ProbMeasure.uniform(mu.carrier, sub.elements))
+    # moving half the mass onto a member a != e breaks invariance: a h != a
+    moved = [x for i, x in zip(sub.member_ids, sub.elements) if i != sub.identity_id]
+    point = ProbMeasure.point(mu.carrier, (moved or sub.elements)[0])
+    tilted = mix([invariant, point], [Fraction(1, 2), Fraction(1, 2)])
+    for nu in (mu, other, invariant, tilted):
+        assert is_right_invariant(nu, sub) == right_invariance_reference(nu, sub)
+    assert is_right_invariant(invariant, sub)
+    assert is_right_invariant(tilted, sub) == sub.is_trivial
 
 
 @COMMON
