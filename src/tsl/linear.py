@@ -9,9 +9,9 @@ __all__ = ["solve_linear"]
 
 
 def solve_linear(
-    rows: Sequence[Mapping[int, Fraction]], rhss: Sequence[Sequence[Fraction]]
-) -> list[list[Fraction]]:
-    """Solve A x = b exactly for each b in ``rhss``; one elimination serves all.
+    rows: Sequence[Mapping[int, Fraction]], rhs: Sequence[Fraction]
+) -> list[Fraction]:
+    """Solve A x = b exactly for the right-hand side b = ``rhs``.
 
     ``rows[i]`` maps column j to A[i][j] and need only hold the non-zeros of
     a square system over columns 0..n-1.  Columns are eliminated in order;
@@ -22,7 +22,7 @@ def solve_linear(
     """
     n = len(rows)
     work = [{c: v for c, v in row.items() if v} for row in rows]
-    right = [[b[i] for b in rhss] for i in range(n)]
+    right = list(rhs)
     column_rows: list[set[int]] = [set() for _ in range(n)]
     for r, row in enumerate(work):
         for c in row:
@@ -39,7 +39,7 @@ def solve_linear(
         scale = pivot[col]
         for c in pivot:
             pivot[c] /= scale
-        right[p] = [b / scale for b in right[p]]
+        right[p] /= scale
         for r in list(candidates):
             row = work[r]
             f = row.pop(col)
@@ -57,28 +57,21 @@ def solve_linear(
                     else:
                         del row[c]
                         column_rows[c].discard(r)
-            right[r] = [b - f * bp for b, bp in zip(right[r], right[p])]
+            right[r] -= f * right[p]
         candidates.clear()
         pivots.append(p)
-    solutions = [[Fraction(0)] * n for _ in rhss]
+    x = [Fraction(0)] * n
     for col in range(n - 1, -1, -1):
         p = pivots[col]
-        terms = [(c, v) for c, v in work[p].items() if c != col]
-        for x, b in zip(solutions, right[p]):
-            x[col] = b - sum((v * x[c] for c, v in terms), Fraction(0))
-    _check_substitution(rows, rhss, solutions)
-    return solutions
+        x[col] = right[p] - sum((v * x[c] for c, v in work[p].items() if c != col), Fraction(0))
+    _check_substitution(rows, rhs, x)
+    return x
 
 
 def _check_substitution(
-    rows: Sequence[Mapping[int, Fraction]],
-    rhss: Sequence[Sequence[Fraction]],
-    solutions: Sequence[Sequence[Fraction]],
+    rows: Sequence[Mapping[int, Fraction]], b: Sequence[Fraction], x: Sequence[Fraction]
 ) -> None:
-    """Raise InternalInconsistencyError unless A x == b holds exactly for each pair."""
-    for b, x in zip(rhss, solutions):
-        for i, row in enumerate(rows):
-            if sum((v * x[c] for c, v in row.items()), Fraction(0)) != b[i]:
-                raise InternalInconsistencyError(
-                    f"linear solve fails substitution at row {i}"
-                )
+    """Raise InternalInconsistencyError unless A x == b holds exactly."""
+    for i, row in enumerate(rows):
+        if sum((v * x[c] for c, v in row.items()), Fraction(0)) != b[i]:
+            raise InternalInconsistencyError(f"linear solve fails substitution at row {i}")

@@ -366,75 +366,68 @@ class ProductChain:
             raise ValueError(f"{e!r} is not a state of the chain") from None
 
 
-def _strongly_connected_components(succ: Sequence[Iterable[int]]) -> list[list[int]]:
-    """Tarjan, iterative; components come out in a deterministic order."""
+def _strongly_connected_components(
+    succ: Sequence[Iterable[int]],
+) -> list[tuple[list[int], bool]]:
+    """Tarjan, iterative: each component sorted, and whether it is closed.
+
+    ``succ[v]`` holds the states one step from v.  A component is closed when
+    no step leaves it, and it comes out after every component it reaches.
+    """
     n = len(succ)
     index = [-1] * n
     low = [0] * n
     on_stack = [False] * n
     stack: list[int] = []
-    components: list[list[int]] = []
+    components: list[tuple[list[int], bool]] = []
     counter = 0
     for root in range(n):
         if index[root] != -1:
             continue
-        work: list[tuple[int, int]] = [(root, 0)]
+        work: list[tuple[int, Optional[Iterator[int]]]] = [(root, None)]
         while work:
-            node, child = work[-1]
-            if child == 0:
+            node, successors = work[-1]
+            if successors is None:
                 index[node] = low[node] = counter
                 counter += 1
                 stack.append(node)
                 on_stack[node] = True
-            advanced = False
-            successors = list(succ[node])
-            while child < len(successors):
-                nxt = successors[child]
-                child += 1
+                successors = iter(succ[node])
+                work[-1] = (node, successors)
+            for nxt in successors:
                 if index[nxt] == -1:
-                    work[-1] = (node, child)
-                    work.append((nxt, 0))
-                    advanced = True
+                    work.append((nxt, None))
                     break
                 if on_stack[nxt]:
                     low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    v = stack.pop()
-                    on_stack[v] = False
-                    comp.append(v)
-                    if v == node:
-                        break
-                components.append(sorted(comp))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
+            else:
+                work.pop()
+                if low[node] == index[node]:
+                    comp = []
+                    while not comp or comp[-1] != node:
+                        comp.append(stack.pop())
+                    # a step to a state still on the stack stays in comp: one
+                    # to a state below it would have lowered low[node]
+                    closed = all(on_stack[t] for v in comp for t in succ[v])
+                    for v in comp:
+                        on_stack[v] = False
+                    components.append((sorted(comp), closed))
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
     return components
 
 
-def closed_classes(succ: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+def closed_classes(succ: Sequence[Iterable[int]]) -> list[tuple[int, ...]]:
     """The closed strongly connected components, each sorted, in sorted order.
 
-    ``succ[v]`` lists the states reachable from v in one step; a component is
+    ``succ[v]`` holds the states reachable from v in one step; a component is
     closed when no step leaves it.  These are the recurrent classes.
     """
-    components = _strongly_connected_components(succ)
-    comp_of = {}
-    for ci, comp in enumerate(components):
-        for v in comp:
-            comp_of[v] = ci
-    return sorted(
-        tuple(comp)
-        for ci, comp in enumerate(components)
-        if all(comp_of[t] == ci for v in comp for t in succ[v])
-    )
+    return sorted(tuple(c) for c, closed in _strongly_connected_components(succ) if closed)
 
 
-def _class_period(members: Sequence[int], succ: Sequence[Sequence[int]]) -> int:
+def _class_period(members: Sequence[int], succ: Sequence[Iterable[int]]) -> int:
     base = members[0]
     level = {base: 0}
     queue = deque([base])
@@ -476,44 +469,53 @@ def tail_chain(
 
 
 def absorption(
-    out: Sequence[Mapping[int, Fraction]],
-    targets: Sequence[Sequence[int]],
-    initial: Sequence[Fraction],
-) -> tuple[tuple[int, ...], list[Fraction], Fraction]:
-    """Where and how soon the chain started from ``initial`` enters a target.
+    out: Sequence[Mapping[int, Fraction]], initial: Sequence[Fraction]
+) -> tuple[list[tuple[int, ...]], list[Fraction], tuple[int, ...], Fraction]:
+    """The closed classes, and where and how soon the chain from ``initial`` enters them.
 
-    ``out[v]`` maps each successor of state v to its transition weight; each
-    target is a group of recurrent states, and together they hold every
-    closed class.  The expected visits y to the other, transient, states
-    solve y (I - Q) = initial one strongly connected block at a time,
-    upstream blocks first, each with one right-hand side.  Returns the
-    transient states, the probability of entering each target, and the
-    expected number of steps before entering any: the sum of y.
+    ``out[v]`` maps each successor of state v to its transition weight.  One
+    Tarjan pass gives the closed classes, ordered as by `closed_classes`, and
+    the transient blocks.  The expected visits y to the transient states solve
+    y (I - Q) = initial one block at a time, upstream blocks first.  Returns
+    the classes, the probability of entering each, the transient states, and
+    the expected number of steps before entering any: the sum of y.
     """
-    target_of = {v: k for k, group in enumerate(targets) for v in group}
-    transient = tuple(v for v in range(len(out)) if v not in target_of)
-    hits = [sum((initial[v] for v in group), Fraction(0)) for group in targets]
+    components = _strongly_connected_components(out)
+    classes = sorted(tuple(c) for c, closed in components if closed)
+    class_of = {v: k for k, members in enumerate(classes) for v in members}
+    transient = tuple(v for v in range(len(out)) if v not in class_of)
+    hits = [sum((initial[v] for v in members), Fraction(0)) for members in classes]
     visits = list(initial)  # a transient block's inflow until it is solved
-    succ = [() if v in target_of else out[v] for v in range(len(out))]
     # Tarjan emits a block after every block it reaches: reversed, upstream first
-    for block in reversed(_strongly_connected_components(succ)):
-        if block[0] in target_of:
+    for block, closed in reversed(components):
+        if closed:
             continue
-        at = {s: j for j, s in enumerate(block)}
-        system = [{j: Fraction(1)} for j in range(len(block))]
-        for s, j in at.items():
-            for t, w in out[s].items():
-                if t in at:
-                    system[at[t]][j] = system[at[t]].get(j, 0) - w
-        (solved,) = solve_linear(system, [[visits[s] for s in block]])
-        for s, y in zip(block, solved):
+        at, system = _transposed_rows(block, out)
+        for s, y in zip(block, solve_linear(system, [visits[s] for s in block])):
             visits[s] = y
             for t, w in out[s].items():
-                if t in target_of:
-                    hits[target_of[t]] += y * w
+                if t in class_of:
+                    hits[class_of[t]] += y * w
                 elif t not in at:
                     visits[t] += y * w
-    return transient, hits, sum((visits[s] for s in transient), Fraction(0))
+    return classes, hits, transient, sum((visits[s] for s in transient), Fraction(0))
+
+
+def _transposed_rows(
+    members: Sequence[int], out: Sequence[Mapping[int, Fraction]]
+) -> tuple[dict[int, int], list[dict[int, Fraction]]]:
+    """The position of each member, and the rows of (I - P) transposed on them.
+
+    Row i is column i of I - P: 1 at i, less each step's weight into member i.
+    """
+    at = {v: j for j, v in enumerate(members)}
+    rows = [{j: Fraction(1)} for j in range(len(members))]
+    for j, v in enumerate(members):
+        for t, w in out[v].items():
+            if t in at:
+                row = rows[at[t]]
+                row[j] = row.get(j, 0) - w
+    return at, rows
 
 
 def build_product_chain(noise: NoiseSpec) -> ProductChain:
@@ -527,13 +529,11 @@ def build_product_chain(noise: NoiseSpec) -> ProductChain:
     """
     tail = dict(noise.atom_ids[-1])
     ids, out = tail_chain(noise, tail)
-    succ = [sorted(row) for row in out]
-    recurrent_sets = closed_classes(succ)
     initial = [tail.get(p, Fraction(0)) for p in ids]
-    transient, absorptions, _ = absorption(out, recurrent_sets, initial)
+    recurrent_sets, absorptions, transient, _ = absorption(out, initial)
     classes = []
     for members, hit in zip(recurrent_sets, absorptions):
-        period = _class_period(members, succ)
+        period = _class_period(members, out)
         stationary = tuple(zip(members, stationary_on_class(members, out)))
         classes.append(RecurrentClass(members, period, hit, stationary))
     return ProductChain(
@@ -550,20 +550,15 @@ def stationary_on_class(
 
     ``out[v]`` maps each successor of state v to its transition weight.
     Uniform when every column sums to 1, which is pi P = pi for uniform pi;
-    else solves pi P = pi with the last balance equation replaced by
+    else solves pi (I - P) = 0 with the last equation replaced by
     normalization.
     """
     m = len(members)
-    pos = {v: i for i, v in enumerate(members)}
-    system: list[dict[int, Fraction]] = [{j: Fraction(-1)} for j in range(m)]
-    for i, v in enumerate(members):
-        for t, w in out[v].items():
-            balance = system[pos[t]]
-            balance[i] = balance.get(i, Fraction(0)) + w
-    if all(sum(balance.values()) == 0 for balance in system):
+    _, system = _transposed_rows(members, out)
+    if all(sum(row.values()) == 0 for row in system):
         return [Fraction(1, m)] * m
     system[-1] = dict.fromkeys(range(m), Fraction(1))
-    (pi,) = solve_linear(system, [[0] * (m - 1) + [1]])
+    pi = solve_linear(system, [0] * (m - 1) + [1])
     if any(v < 0 for v in pi):
         raise InternalInconsistencyError("negative stationary weight")
     return pi

@@ -45,8 +45,8 @@ the absorption times and, as its ``products``, the product law that
 standard errors; exact references for the same quantities come from the
 measure layer, so tests can hold simulation against closed form at three
 sigma.  The exact absorption times walk the product chain with
-`measures.tail_chain` and solve it with `measures.absorption`, the walk and
-the solve that `build_product_chain` uses.
+`measures.tail_chain`, and `measures.absorption` finds its closed classes and
+solves it: the walk and the solve that `build_product_chain` uses.
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ from .measures import (
     ProbMeasure,
     absorption,
     act,
-    closed_classes,
     state_carrier,
     tail_chain,
 )
@@ -551,8 +550,7 @@ def _exact_absorption(
     prefix: those products are closed under successors, so its classes and
     solutions are those of the whole closure, restricted.  Under the tail,
     singleton closed classes are the absorbing products and larger ones are
-    never left, so the two are the targets, and entering the second means
-    T = infinity.
+    never left, so P(T = infinity) is the chance of entering a larger one.
     """
     # the laws after t = 1..steps factors; head is P(T > t) for t < steps
     *earlier, law = noise.product_laws(max(noise.prefix_length, 1))
@@ -560,12 +558,8 @@ def _exact_absorption(
     for stage, seen in zip(stages, earlier):
         head += sum(w for i, w in seen.items() if i not in stage.absorbing)
     ids, out = tail_chain(noise, law)
-    classes = closed_classes([sorted(row) for row in out])
-    targets = [
-        [v for members in classes if len(members) == 1 for v in members],
-        [v for members in classes if len(members) > 1 for v in members],
-    ]
-    _, (_, infinite), steps = absorption(out, targets, [law.get(p, 0) for p in ids])
+    classes, hits, _, steps = absorption(out, [law.get(p, 0) for p in ids])
+    infinite = sum((h for c, h in zip(classes, hits) if len(c) > 1), Fraction(0))
     if infinite != 0:
         return None, infinite
     return 1 + head + steps, Fraction(0)

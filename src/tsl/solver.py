@@ -321,17 +321,17 @@ def deterministic_translate_families(
     depth = max(window, noise.prefix_length)
     car = state_carrier(noise.space)
     pairs = []
+    # law(k) = g_k acting on law(k-1), so the state at k-1 is g_k^-1 at k
+    steps = [inverse(left_factor(k)) for k in range(0, -depth - 1, -1)]
     for x in range(n):
-        xs = {0: x}
-        for k in range(0, -depth - 1, -1):
-            xs[k - 1] = context.state_product(inverse(left_factor(k)), xs[k])
-        cycle_states = [xs[-depth - 1]]
+        state = x
+        for g in steps:
+            state = context.state_product(g, state)
+        cycle_states = [state]
         for _ in range(drift_order - 1):
             cycle_states.append(context.state_product(inv_tail, cycle_states[-1]))
-        window_laws = {k: ProbMeasure.point(car, xs[k]) for k in range(0, -depth - 1, -1)}
         cycle = tuple(ProbMeasure.point(car, s) for s in cycle_states)
-        fam = make_family(noise, window_laws, cycle, Origin("extremal", entry_state=x))
-        pairs.append((x, fam))
+        pairs.append((x, _family(noise, cycle, depth, Origin("extremal", entry_state=x))))
     return _dedupe(pairs)
 
 
@@ -467,7 +467,7 @@ def stationary_law(mu: ProbMeasure) -> ProbMeasure:
         for x in range(n):
             y = sigma.image[x]
             out[x][y] = out[x].get(y, Fraction(0)) + w
-    classes = closed_classes([sorted(row) for row in out])
+    classes = closed_classes(out)
     if len(classes) != 1:
         shown = ", ".join(
             "{" + ", ".join(mu.carrier.space.label(v) for v in comp) + "}"

@@ -68,13 +68,14 @@ def element_measure(space: StateSpace, weights) -> ProbMeasure:
     )
 
 
-def run_cli(argv, cwd) -> subprocess.CompletedProcess:
+def run_cli(argv, cwd, env=None) -> subprocess.CompletedProcess:
     """Run `python -m tsl ARGV` in a fresh interpreter on this checkout's code.
 
     The absolute `src` goes first on PYTHONPATH, so the run neither needs an
     installed console script nor picks up another installed copy of `tsl`.
+    ``env`` holds variables to set over the current environment.
     """
-    env = dict(os.environ)
+    env = {**os.environ, **(env or {})}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "tsl", *argv], capture_output=True, cwd=cwd, env=env

@@ -379,6 +379,17 @@ CYC4_RANK3_TEXT = (
 )
 
 
+def test_output_bytes_do_not_depend_on_the_hash_seed(tmp_path, specs_dir):
+    # cyc4-rank3's chain: 128 products, 11 transient blocks, 4 closed classes
+    path = tmp_path / "cyc4-rank3.tsl"
+    path.write_text(CYC4_RANK3_TEXT)
+    for argv in (["analyze", str(path), "--json"], ["simulate", str(specs_dir / "three_state.tsl")]):
+        runs = [run_cli(argv, tmp_path, {"PYTHONHASHSEED": seed}) for seed in ("0", "1")]
+        for proc in runs:
+            assert (proc.returncode, proc.stderr) == (0, b"")
+        assert runs[0].stdout == runs[1].stdout
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="recurrent-class members are labelled as closure ids, but they "

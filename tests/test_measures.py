@@ -382,20 +382,21 @@ def test_aperiodic_group_noise_converges_in_law_only():
     assert sub.order == 2
 
 
-def test_absorption_solves_transient_blocks_in_order_like_the_dense_reference():
+def test_absorption_solves_transient_blocks_in_order_like_the_dense_reference(monkeypatch):
     # perfbench's cyc4-rank3: 124 transient products in 11 strongly connected
     # blocks, each entered only from blocks solved before it
     tail = element_measure(StateSpace.of_size(4), {(1, 2, 3, 0): HALF, (0, 0, 2, 3): HALF})
     noise = NoiseSpec(tail)
     start = dict(noise.atom_ids[-1])
     ids, out = tail_chain(noise, start)
-    succ = [sorted(row) for row in out]
-    classes = closed_classes(succ)
-    blocks = [c for c in _strongly_connected_components(succ) if tuple(c) not in classes]
+    blocks = [c for c, closed in _strongly_connected_components(out) if not closed]
+    initial = [start.get(p, Fraction(0)) for p in ids]
+    passes = count_calls(monkeypatch, tsl.measures, "_strongly_connected_components")
+    classes, hits, transient, steps = absorption(out, initial)
+    assert len(passes) == 1
+    assert classes == closed_classes(out)
     assert (len(ids), len(classes), len(blocks)) == (128, 4, 11)
     assert max(map(len, blocks)) == 12
-    initial = [start.get(p, Fraction(0)) for p in ids]
-    transient, hits, steps = absorption(out, classes, initial)
     rows = [[row.get(j, Fraction(0)) for j in range(len(ids))] for row in out]
     assert hits == dense_absorption(rows, initial, list(transient), list(map(list, classes)))
     assert steps == dense_expected_steps(rows, initial, list(transient))

@@ -28,7 +28,7 @@ from tsl import (
     stopping_time_stats,
     tv_distance,
 )
-from tsl.measures import absorption, closed_classes, tail_chain
+from tsl.measures import _strongly_connected_components, absorption, closed_classes, tail_chain
 
 from helpers import element_measure
 from oracles import (
@@ -287,6 +287,28 @@ def test_recurrent_classes_are_the_kernel_grouped_by_image(batch):
 
 
 @COMMON
+@given(st.integers(1, 8).flatmap(lambda n: st.lists(st.sets(st.integers(0, n - 1)), min_size=n, max_size=n)))
+def test_components_match_reachability_and_come_out_downstream_first(succ):
+    reach = []
+    for v in range(len(succ)):
+        seen, frontier = {v}, [v]
+        while frontier:
+            frontier = [t for u in frontier for t in succ[u] if t not in seen]
+            seen.update(frontier)
+        reach.append(seen)
+    components = _strongly_connected_components(succ)
+    position = {v: i for i, (comp, _) in enumerate(components) for v in comp}
+    for i, (comp, closed) in enumerate(components):
+        v = comp[0]
+        assert set(comp) == {w for w in reach[v] if v in reach[w]}
+        assert closed == (reach[v] == set(comp))
+        assert all(position[t] <= i for u in comp for t in succ[u])
+    # v's component is closed when everything v reaches reaches v back
+    closed_sets = {tuple(sorted(r)) for v, r in enumerate(reach) if all(v in reach[w] for w in r)}
+    assert closed_classes(succ) == sorted(closed_sets)
+
+
+@COMMON
 @given(st.integers(1, 3).flatmap(lambda count: measure_batch(count, max_states=3)))
 # a group tail behind a prefix that reaches 3 of the 27 closure ids
 @example(
@@ -328,9 +350,9 @@ def test_absorption_from_the_law_after_a_prefix_matches_the_dense_reference(batc
     noise = NoiseSpec(tail, tuple(prefix))
     *_, law = noise.product_laws(len(prefix))
     ids, out = tail_chain(noise, law)
-    classes = closed_classes([sorted(row) for row in out])
     initial = [law.get(p, Fraction(0)) for p in ids]
-    transient, hits, steps = absorption(out, classes, initial)
+    classes, hits, transient, steps = absorption(out, initial)
+    assert classes == closed_classes(out)
     assert set(transient) == set(range(len(ids))) - {v for c in classes for v in c}
     rows = [[row.get(j, Fraction(0)) for j in range(len(ids))] for row in out]
     assert hits == dense_absorption(rows, initial, list(transient), list(map(list, classes)))
