@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import AmbiguityError, CapacityError, DimensionError
 
@@ -117,9 +117,8 @@ class FiniteSemigroup:
     """A finite transformation semigroup stored as its right Cayley graph.
 
     ``right[a][j]`` is the id of (element a) * (element ``generators[j]``):
-    n*|G| entries, the representation of Froidure and Pin (1997).  The full
-    table ``cayley[a][b]``, the id of a * b, is derived from it on first read;
-    only the subgroup search, over ambient semigroups under its cap, reads it.
+    n*|G| entries, the representation of Froidure and Pin (1997), and the
+    only product structure stored.  Any other product comes from ``mul``.
     """
 
     right: tuple[tuple[int, ...], ...]
@@ -146,38 +145,18 @@ class FiniteSemigroup:
         return len(self.elements)
 
     def mul(self, a: int, b: int) -> int:
-        return self.cayley[a][b]
-
-    def _left_rows(self, ids: Iterable[int]) -> Iterator[tuple[int, ...]]:
-        """Row a of the full table, a * b for every b, for each a in ``ids``.
-
-        Each row is n lookups along a breadth-first spelling b = p * g_j of
-        every element from the generators: a * b = (a * p) * g_j.
-        """
-        right, gens = self.right, self.generators
-        found = list(dict.fromkeys(gens))
-        known = set(found)
-        steps = []  # (b, p, j) with b = p * g_j, p spelled before b
-        for p in found:  # a growing queue
-            for j, b in enumerate(right[p]):
-                if b not in known:
-                    known.add(b)
-                    found.append(b)
-                    steps.append((b, p, j))
-        if len(found) != self.size:
-            raise ValueError("the generators do not generate every element")
-        for a in ids:
-            row = [0] * self.size
-            for j, g in enumerate(gens):
-                row[g] = right[a][j]
-            for b, p, j in steps:
-                row[b] = right[row[p]][j]
-            yield tuple(row)
+        """The id of a * b: composed on first request, then remembered."""
+        key = a * len(self.elements) + b
+        try:
+            return self._products[key]
+        except KeyError:
+            product = self.element_index[compose(self.elements[a], self.elements[b])]
+            self._products[key] = product
+            return product
 
     @cached_property
-    def cayley(self) -> tuple[tuple[int, ...], ...]:
-        """The full table, ``cayley[a][b]`` = id of a * b: n^2 entries."""
-        return tuple(self._left_rows(range(self.size)))
+    def _products(self) -> dict[int, int]:
+        return {}
 
     @cached_property
     def element_index(self) -> Mapping[TransformationElement, int]:
@@ -366,12 +345,17 @@ def classify_elements(sg: FiniteSemigroup) -> ElementClassification:
 
 
 def is_left_cancellative(sg: FiniteSemigroup) -> bool:
-    """True iff a*b1 = a*b2 forces b1 = b2, i.e. every table row is injective.
+    """True iff a*b1 = a*b2 forces b1 = b2, i.e. every left translate is injective.
 
     Left multiplication by a product is the composite of its factors' left
-    multiplications, so it is enough to check the generators' rows.
+    multiplications, so it is enough to check the generators' left translates;
+    a permutation's is injective, as g*b determines b.
     """
-    return all(len(set(row)) == sg.size for row in sg._left_rows(sg.generators))
+    return all(
+        g.is_injective()
+        or len({_compose_images(g.image, e.image) for e in sg.elements}) == sg.size
+        for g in map(sg.element, sg.generators)
+    )
 
 
 @dataclass(frozen=True)
@@ -483,11 +467,12 @@ def find_subgroups(
     # never closes to a group, and sum_e C(|H_e|, r) closures remain per r
     # (21 pairs rather than 351 on the full monoid on three points).
     buckets: dict[int, list[int]] = {}  # identity id -> its group elements
+    idempotents = frozenset(sg.idempotent_ids)
     for g in range(sg.size):
         cycle = _cycle_part(sg, g)
         consider(cycle)
         if g in cycle:
-            (e,) = (x for x in cycle if sg.mul(x, x) == x)
+            (e,) = cycle & idempotents
             buckets.setdefault(e, []).append(g)
     # the closure of {g} is a group only when it is g's cycle part, found above
     for r in range(2, max_gen + 1):

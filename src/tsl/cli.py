@@ -304,26 +304,24 @@ def _guard_closure(compiled: CompiledProblem) -> FiniteSemigroup:
     return compiled.noise.closure
 
 
-def _frac(x: Fraction) -> str:
-    return str(x)
-
-
 def _fmt(x: Optional[float]) -> str:
     return "" if x is None else format(x, ".12g")
 
 
 def _measure_json(label, m: ProbMeasure) -> dict:
-    return {label(k): _frac(w) for k, w in m.atoms}
+    return {label(k): str(w) for k, w in m.atoms}
 
 
-def _family_json(compiled: CompiledProblem, entry: int, fam) -> dict:
+def _family_json(compiled: CompiledProblem, entry: int, fam, as_json: bool) -> dict:
     return {
         "origin": fam.origin.kind,
         "entry": compiled.state_label(entry),
         "depth": fam.depth,
         "tail_period": fam.tail_period,
+        # the text form prints only the law at 0
         "window": {
-            str(k): _measure_json(compiled.state_label, law) for k, law in fam.window
+            str(k): _measure_json(compiled.state_label, law)
+            for k, law in (fam.window if as_json else fam.window[:1])
         },
         "tail_cycle": [_measure_json(compiled.state_label, m) for m in fam.tail_cycle],
     }
@@ -398,7 +396,7 @@ def _analysis_payload(
                 {
                     "members": [labels[i] for i in cls.member_ids],
                     "period": cls.period,
-                    "absorption": _frac(cls.absorption),
+                    "absorption": str(cls.absorption),
                 }
                 for cls in limit.chain.recurrent_classes
             ],
@@ -419,7 +417,8 @@ def _analysis_payload(
         "solutions": {
             "certified_extremal": report.certified_extremal,
             "families": [
-                _family_json(compiled, x, fam) for x, fam in report.extremals
+                _family_json(compiled, x, fam, as_json)
+                for x, fam in report.extremals
             ],
         },
         "classification": {
@@ -576,7 +575,7 @@ def _simulation_rows(compiled: CompiledProblem, cfg: SimConfig) -> list[tuple[st
         rows.append(
             (
                 f"product:{compiled.element_label(key)}",
-                _frac(exact.get(key, Fraction(0))),
+                str(exact.get(key, Fraction(0))),
                 _fmt(freq),
                 _fmt(stderr),
             )
@@ -585,7 +584,7 @@ def _simulation_rows(compiled: CompiledProblem, cfg: SimConfig) -> list[tuple[st
         rows.append(
             (
                 "T:mean",
-                _frac(stats.exact_mean),
+                str(stats.exact_mean),
                 _fmt(stats.empirical_mean),
                 _fmt(stats.empirical_stderr),
             )
@@ -595,7 +594,7 @@ def _simulation_rows(compiled: CompiledProblem, cfg: SimConfig) -> list[tuple[st
         rows.append(
             (
                 "T:p_infinity",
-                _frac(stats.infinite_mass),
+                str(stats.infinite_mass),
                 _fmt(frequency),
                 _fmt((frequency * (1 - frequency) / stats.trials) ** 0.5),
             )
@@ -618,11 +617,11 @@ def _cmd_simulate(args) -> int:
         f"trials={cfg.trials} depth={cfg.depth} seed={cfg.seed} rng=splitmix64"
     ]
     widths = [
-        max(len(str(row[i])) for row in [header, *rows]) for i in range(4)
+        max(len(row[i]) for row in [header, *rows]) for i in range(4)
     ]
     for row in [header, *rows]:
         out.append(
-            "  ".join(str(v).ljust(widths[i]) for i, v in enumerate(row)).rstrip()
+            "  ".join(v.ljust(widths[i]) for i, v in enumerate(row)).rstrip()
         )
     if args.csv is not None:
         out.append(f"csv written to {args.csv}")
@@ -638,7 +637,7 @@ def _cmd_fourier(args) -> int:
     else:
         sys.stdout.write(
             f"modulus: {four.modulus}\n"
-            f"pi: {' '.join(str(v) for v in four.pi)}\n"
+            f"pi: {' '.join(map(str, four.pi))}\n"
             f"z_mu: {{{', '.join(map(str, four.z_mu))}}}\n"
             f"p_mu: {four.p_mu}\n"
             f"h_mu: {{{', '.join(map(str, four.h_mu))}}}\n"

@@ -10,6 +10,7 @@ from pathlib import Path
 
 from tsl import (
     ActionContext,
+    FiniteSemigroup,
     NoiseSpec,
     ProbMeasure,
     StateSpace,
@@ -80,6 +81,13 @@ def run_cli(argv, cwd, env=None) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-m", "tsl", *argv], capture_output=True, cwd=cwd, env=env
     )
+
+
+def product_table(sg: FiniteSemigroup) -> tuple[tuple[int, ...], ...]:
+    """Every product a * b from `mul`; the right Cayley graph must be its generator columns."""
+    table = tuple(tuple(sg.mul(a, b) for b in range(sg.size)) for a in range(sg.size))
+    assert sg.right == tuple(tuple(row[g] for g in sg.generators) for row in table)
+    return table
 
 
 def count_calls(monkeypatch, module, name: str) -> list:

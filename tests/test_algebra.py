@@ -29,7 +29,7 @@ from tsl import (
 
 import tsl.algebra
 
-from helpers import CLOSURE_IMAGES, GEN_A, GEN_B, THREE, count_calls
+from helpers import CLOSURE_IMAGES, GEN_A, GEN_B, THREE, count_calls, product_table
 from oracles import compose_images
 
 
@@ -99,7 +99,7 @@ def test_full_monoid_is_generated_by_at_most_three_maps(n):
     assert 1 <= len(sg.generators) <= 3
     assert [e.image for e in sg.elements] == sorted(e.image for e in sg.elements)
     assert sg.size == n**n
-    assert sg.cayley == tuple(
+    assert product_table(sg) == tuple(
         tuple(sg.element_index[compose(a, b)] for b in sg.elements)
         for a in sg.elements
     )
@@ -221,7 +221,7 @@ def test_power_iteration_runs_once_per_semigroup(monkeypatch):
     assert core_orbit(sg) == power_orbit_intersection(sg)
     assert power_core(sg) == (powers, core)
     assert len(walks) == first
-    assert "cayley" not in sg.__dict__
+    assert "_products" not in sg.__dict__
 
 
 def test_classification_of_the_two_map_closure(closure):
@@ -264,7 +264,7 @@ def test_left_cancellative_fails_on_left_zero_table():
     # the two constant maps on two states: a * b = a
     two = StateSpace.of_size(2)
     sg = generate_closure(two, [constant_element(two, 0), constant_element(two, 1)])
-    assert sg.cayley == ((0, 0), (1, 1))
+    assert product_table(sg) == ((0, 0), (1, 1))
     assert not is_left_cancellative(sg)
 
 

@@ -297,19 +297,23 @@ def test_analyze_builds_the_noise_closure_once(capsys, specs_dir, monkeypatch):
 
 
 def test_text_analyze_builds_no_limit_window(capsys, specs_dir, monkeypatch):
-    # only --json prints the limit's window laws, one per k = 0..-window:
-    # text mode makes exactly that many fewer `_measure_json` calls
+    # only --json prints the limit's window laws, one per k = 0..-window, and
+    # each family's laws below k = 0: text mode makes exactly that many fewer
+    # `_measure_json` calls
     calls = count_calls(monkeypatch, tsl.cli, "_measure_json")
     spec = str(specs_dir / "three_state.tsl")
     for window in (8, 64):
         made = []
         for mode in ([], ["--json"]):
             calls.clear()
-            rc, _, _ = run(capsys, ["analyze", spec, "--window", str(window), *mode])
+            rc, out, _ = run(capsys, ["analyze", spec, "--window", str(window), *mode])
             assert rc == 0
             made.append(len(calls))
         text, full = made
-        assert full - text == window + 1
+        families = json.loads(out)["solutions"]["families"]
+        below_zero = sum(len(fam["window"]) - 1 for fam in families)
+        assert below_zero > 0
+        assert full - text == window + 1 + below_zero
 
 
 # T4: a transposition, the 4-cycle and a rank-3 map generate all 256 maps
@@ -338,7 +342,7 @@ def test_analyze_keeps_a_closure_past_the_subgroup_cap_as_its_right_graph(
     for compiled in problems:
         closure = compiled.noise.closure
         assert closure.size == 256
-        assert "cayley" not in closure.__dict__
+        assert "_products" not in closure.__dict__
 
 
 def test_analyze_searches_the_full_monoid_t4_for_its_subgroup(capsys, tmp_path):
