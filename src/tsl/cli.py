@@ -25,6 +25,7 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -304,6 +305,23 @@ def _guard_closure(compiled: CompiledProblem) -> FiniteSemigroup:
     return compiled.noise.closure
 
 
+@contextmanager
+def _uncapped_digits():
+    """Lift the interpreter's int-to-string digit cap (Python 3.11+) while
+    computed rationals are rendered: an exact value may have more than the
+    default 4,300 digits.  Parsing keeps the cap, so an over-long weight is
+    still refused."""
+    cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if cap is None:
+        yield
+        return
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(cap)
+
+
 def _fmt(x: Optional[float]) -> str:
     return "" if x is None else format(x, ".12g")
 
@@ -557,11 +575,10 @@ def _cmd_analyze(args) -> int:
         window=args.window,
         subgroup_cap=args.subgroup_cap,
     )
-    payload = _analysis_payload(compiled, report, args.window, args.subgroup_cap, args.json)
-    if args.json:
-        sys.stdout.write(_json_dump(payload))
-    else:
-        sys.stdout.write(_render_analysis(payload))
+    with _uncapped_digits():
+        payload = _analysis_payload(compiled, report, args.window, args.subgroup_cap, args.json)
+        text = _json_dump(payload) if args.json else _render_analysis(payload)
+    sys.stdout.write(text)
     return 0
 
 
@@ -606,7 +623,8 @@ def _cmd_simulate(args) -> int:
     compiled = _load(args.spec)
     _guard_closure(compiled)
     cfg = SimConfig(depth=args.depth, trials=args.trials, seed=args.seed)
-    rows = _simulation_rows(compiled, cfg)
+    with _uncapped_digits():
+        rows = _simulation_rows(compiled, cfg)
     header = ("atom", "exact", "empirical", "stderr")
     if args.csv is not None:
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:

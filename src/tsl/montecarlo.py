@@ -12,10 +12,8 @@ stream still moves by GAMMA), and any other factor is read from a 256-entry
 guide on the draw's top byte (Chen & Asau, AIIE Trans. 6, 1974), with the
 breakpoint search only where a breakpoint splits that byte's bucket.
 
-Noise where some stage can absorb runs each trial alone and stops drawing at
-the absorbing factor (below).  Otherwise every factor is needed, and the
-kernel runs the trials in blocks of 256, trial j's state in bits 128j to
-128j + 63 of one int S.  With rep the int with a 1 at the bottom of every
+The kernel runs the trials in blocks of 256, trial j's state in bits 128j
+to 128j + 63 of one int S.  With rep the int with a 1 at the bottom of every
 lane and M = (2^64 - 1) * rep, one draw for every lane is S = (S + GAMMA *
 rep) & M and the two xorshift-multiply rounds, with & M before each
 multiply.  That is exact: every lane holds a value below 2^64, so a 64 x
@@ -24,9 +22,11 @@ bits that a right shift moves in from the next lane land at 64 and above,
 where the mask clears them before they reach a multiply.  Byte 16j + 7 of
 the mixed int, in little-endian order, is the top byte of lane j's mix,
 which reads the guide; only lanes in a split bucket take their full draw.
-A maximal run of k point-mass factors is one S + (k * GAMMA mod 2^64) * rep
-and one lookup per trial in a jump map, the k-th power of the map
-p -> right[p][atom], built by repeated squaring.
+A maximal run of k point-mass factors that cannot absorb is one S + (k *
+GAMMA mod 2^64) * rep and one lookup per trial in a jump map, the k-th power
+of the map p -> right[p][atom], built by repeated squaring.  A lane whose
+product is absorbed retires: it records its product and absorption time,
+and the block drops it from S once at most half of S's lanes are live.
 
 Per trial the draw order is fixed: the noise for k = 0, -1, ..., -depth+1
 first, then any entry-state draws.  The samplers and the trial kernel read
@@ -93,7 +93,7 @@ __all__ = [
 
 _MASK = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
-# trials per block of the kernel for noise that never absorbs
+# trials per block of the trial kernel; absorbed trials retire from it
 _BLOCK = 256
 
 
@@ -223,7 +223,7 @@ def _jump(table: Sequence[Sequence[int]], atom: int, count: int) -> list[int]:
     """The product after `count` factors `atom`, for every product row p.
 
     The `count`-th power of the map p -> table[p][atom] over the rows of
-    ``table`` (closure ids, then "no factor yet"), by repeated squaring:
+    ``table`` (closure ids, then the kernel's extra rows), by repeated squaring:
     O(len(table) * log count) lookups.
     """
     step, jump = [row[atom] for row in table], list(range(len(table)))
@@ -234,6 +234,14 @@ def _jump(table: Sequence[Sequence[int]], atom: int, count: int) -> list[int]:
         if count:
             step = [step[p] for p in step]
     return jump
+
+
+def _pack(lanes: list[bytes]) -> tuple[int, int, int]:
+    """(S, rep, M) for streams given as 16 little-endian bytes each: the
+    int S with lane j in bits 128j .. 128j + 127, rep with a 1 at the bottom
+    of every lane, and M = (2^64 - 1) * rep."""
+    rep = ((1 << (128 * len(lanes))) - 1) // ((1 << 128) - 1)
+    return int.from_bytes(b"".join(lanes), "little"), rep, _MASK * rep
 
 
 def _trial_kernel(
@@ -258,88 +266,103 @@ def _trial_kernel(
     and searches the breakpoints.  Every factor is the atom that
     ``ids[bisect_right(breaks, draw)]`` gives.
 
-    When some stage can absorb, each trial runs alone and exits early.
-    Otherwise the trials run in blocks of `_BLOCK`, one 128-bit lane per
-    stream in one int (see the module docstring), each stream is left after
-    all its draws, and a maximal run of point-mass factors is one step.
+    The trials run in blocks of `_BLOCK`, one 128-bit lane per stream in
+    one int (see the module docstring).  A maximal run of point-mass factors
+    none of whose stages can absorb is one step.  After a step whose stage
+    can absorb, each lane whose product lies in its absorbing set records
+    the product and retires: its product becomes the "done" row, which
+    every factor and the split bucket leave as it is, and the int drops the
+    retired lanes once at most half of its lanes are live.
     """
     plan = _plan(stages, cfg.depth)
     closure = noise.closure
-    # one extra row for "no factor yet": generator column j is element j, so
-    # `closure.generators` maps each factor to itself
-    table = (*closure.right, closure.generators)
-    start = closure.size
-
-    if any(stage.absorbing for stage in plan):
-        # plain tuples: the loop below unpacks them faster than `_Stage`s
-        plan = [tuple(stage) for stage in plan]
-        for trial in range(cfg.trials):
-            rng = trial_stream(cfg.seed, trial)
-            state, pid, absorbed_at = rng.state, start, None
-            for t, (breaks, ids, guide, absorbing) in enumerate(plan, 1):
-                state = (state + GAMMA) & _MASK
-                if guide is None:
-                    pid = table[pid][ids[0]]
-                else:
-                    z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-                    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-                    f = guide[z >> 56]
-                    if f < 0:
-                        f = ids[bisect_right(breaks, z ^ (z >> 31))]
-                    pid = table[pid][f]
-                if pid in absorbing:
-                    absorbed_at = t
-                    break
-            rng.state = state
-            yield rng, pid, absorbed_at
-        return
-
-    # (stream increment, jump map or None, breaks, ids, guide) per step: one
-    # step per mixed factor, one per maximal run of point-mass factors
-    steps = []
-    for point, run in groupby(plan, key=lambda stage: stage.guide is None):
-        if not point:
-            steps += [(GAMMA, None, *stage[:3]) for stage in run]
+    start, done = closure.size, closure.size + 1
+    # the closure's rows, then "no factor yet": generator column j is
+    # element j, so `closure.generators` maps each factor to itself; then
+    # "done", the product of a retired lane, which every factor leaves
+    table = [*closure.right, closure.generators, [done] * len(closure.generators)]
+    # (factors so far, stream increment, jump map or None, breaks, ids,
+    # guide, absorbing) per step: one step per mixed factor and per
+    # point-mass factor that can absorb, one per maximal run of point-mass
+    # factors that cannot; the increment of a mixed step carries the GAMMAs
+    # of the point-mass steps since the last one
+    steps, columns, t, inc = [], {}, 0, 0
+    for fold, run in groupby(plan, key=lambda stage: not stage.absorbing and stage.guide is None):
+        if fold:
+            atoms = [stage.ids[0] for stage in run]
+            jump = list(range(len(table)))
+            for atom, same in groupby(atoms):
+                power = _jump(table, atom, sum(1 for _ in same))
+                jump = [power[p] for p in jump]
+            t, inc = t + len(atoms), inc + len(atoms)
+            steps.append((t, 0, jump, None, None, None, frozenset()))
             continue
-        atoms = [stage.ids[0] for stage in run]
-        jump = list(range(len(table)))
-        for atom, same in groupby(atoms):
-            power = _jump(table, atom, sum(1 for _ in same))
-            jump = [power[p] for p in jump]
-        steps.append(((len(atoms) * GAMMA) & _MASK, jump, None, None, None))
+        for breaks, ids, guide, absorbing in run:
+            t, inc = t + 1, inc + 1
+            if guide is None:
+                if ids[0] not in columns:
+                    columns[ids[0]] = [row[ids[0]] for row in table]
+                steps.append((t, 0, columns[ids[0]], None, None, None, absorbing))
+            else:
+                steps.append((t, (inc * GAMMA) & _MASK, None, breaks, ids, guide, absorbing))
+                inc = 0
     # each row ends in -1, which a split bucket's guide entry (-1) picks: a
-    # lane whose product comes out -1 is finished from its full draw
+    # lane whose product comes out -1 is finished from its full draw; the
+    # done row stays done there too
     table = [(*row, -1) for row in table]
+    table[done] = (done,) * len(table[done])
     skip = (cfg.depth * GAMMA) & _MASK
     for first in range(0, cfg.trials, _BLOCK):
-        last = min(first + _BLOCK, cfg.trials)
-        rngs = [trial_stream(cfg.seed, t) for t in range(first, last)]
-        lanes = len(rngs)
-        rep = ((1 << (128 * lanes)) - 1) // ((1 << 128) - 1)  # 1 in every lane
-        m = _MASK * rep
-        s = int.from_bytes(
-            b"".join([rng.state.to_bytes(16, "little") for rng in rngs]), "little"
-        )
-        pids = [start] * lanes
-        for inc, jump, breaks, ids, guide in steps:
-            s = (s + inc * rep) & m
+        rngs = [trial_stream(cfg.seed, t) for t in range(first, min(first + _BLOCK, cfg.trials))]
+        # per trial of the block: the product id, absorbed_at and the
+        # stream increment of its draws; the trial of each lane, the live lanes
+        products: list = [None] * len(rngs)
+        times: list = [None] * len(rngs)
+        ends = [skip] * len(rngs)
+        trials, live = list(range(len(rngs))), len(rngs)
+        s, rep, m = _pack([rng.state.to_bytes(16, "little") for rng in rngs])
+        pids = [start] * live
+        for t, inc, jump, breaks, ids, guide, absorbing in steps:
             if jump is not None:
                 pids = [jump[p] for p in pids]
+            else:
+                s = (s + inc * rep) & m
+                z = (((s ^ (s >> 30)) & m) * 0xBF58476D1CE4E5B9) & m
+                z = ((z ^ (z >> 27)) & m) * 0x94D049BB133111EB
+                lane = z.to_bytes(16 * len(pids), "little")
+                stepped = [table[p][guide[b]] for p, b in zip(pids, lane[7::16])]
+                if -1 in stepped:
+                    for j, pid in enumerate(stepped):
+                        if pid < 0:
+                            u = int.from_bytes(lane[16 * j : 16 * j + 8], "little")
+                            f = ids[bisect_right(breaks, u ^ (u >> 31))]
+                            stepped[j] = table[pids[j]][f]
+                pids = stepped
+            # an empty set would still walk every lane
+            if not absorbing or absorbing.isdisjoint(pids):
                 continue
-            z = (((s ^ (s >> 30)) & m) * 0xBF58476D1CE4E5B9) & m
-            z = ((z ^ (z >> 27)) & m) * 0x94D049BB133111EB
-            lane = z.to_bytes(16 * lanes, "little")
-            stepped = [table[p][guide[b]] for p, b in zip(pids, lane[7::16])]
-            if -1 in stepped:
-                for j, pid in enumerate(stepped):
-                    if pid < 0:
-                        u = int.from_bytes(lane[16 * j : 16 * j + 8], "little")
-                        f = ids[bisect_right(breaks, u ^ (u >> 31))]
-                        stepped[j] = table[pids[j]][f]
-            pids = stepped
-        for rng, pid in zip(rngs, pids):
-            rng.state = (rng.state + skip) & _MASK
-            yield rng, pid, None
+            for j, pid in enumerate(pids):
+                if pid in absorbing:
+                    k = trials[j]
+                    products[k], times[k], ends[k] = pid, t, (t * GAMMA) & _MASK
+                    pids[j] = done
+                    live -= 1
+            if not live:
+                break
+            if 2 * live <= len(pids):
+                keep = [j for j, pid in enumerate(pids) if pid != done]
+                lanes = s.to_bytes(16 * len(pids), "little")
+                s, rep, m = _pack([lanes[16 * j : 16 * j + 16] for j in keep])
+                trials = [trials[j] for j in keep]
+                pids = [pids[j] for j in keep]
+        if live < len(rngs):
+            for j, pid in zip(trials, pids):
+                if pid != done:
+                    products[j] = pid
+            pids = products
+        for rng, pid, end, absorbed_at in zip(rngs, pids, ends, times):
+            rng.state = (rng.state + end) & _MASK
+            yield rng, pid, absorbed_at
 
 
 def _skip_to_window_end(rng: SplitMix64, depth: int, absorbed_at: Optional[int]) -> None:

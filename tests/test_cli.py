@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,7 @@ from tsl import (
     TransformationElement,
     compile_problem,
     element_carrier,
+    exact_product_law,
     main,
     parse_spec,
     serialize_spec,
@@ -487,9 +490,9 @@ def test_simulate_table_and_csv_are_frozen(capsys, specs_dir, tmp_path):
 def test_simulate_builds_one_closure_and_runs_each_trial_once(capsys, specs_dir, monkeypatch):
     closures = count_calls(monkeypatch, tsl.measures, "generate_closure")
     streams = count_calls(monkeypatch, tsl.montecarlo, "trial_stream")
-    # three_state absorbs, so its trials run alone; z4_pair never does, so
-    # its trials run in blocks, and 300 trials fill one block and part of
-    # the next
+    # three_state absorbs, so its trials retire from their block; z4_pair
+    # never does, so its trials draw every factor; 300 trials fill one
+    # block and part of the next
     for name, trials in (("three_state", 50), ("z4_pair", 300)):
         closures.clear()
         streams.clear()
@@ -593,6 +596,54 @@ def test_simulate_reports_escape_mass_when_nothing_absorbs(capsys, specs_dir):
     rc, out, _ = run(capsys, argv)
     assert rc == 0
     assert out == GROUP_WALK_SIM
+
+
+# a cycle and a constant map, the constant drawn with probability 10^-60:
+# E[T] = 10^60, and the exact product laws at depth 100 have numerators and
+# denominators of about 6,000 digits, past the interpreter's default cap of
+# 4,300 digits on int-to-string conversion
+RARE_CONSTANT_TEXT = (
+    "space 3\n"
+    "gen a = 2 3 1\n"
+    "gen b = 1 1 1\n"
+    f"noise iid a:{10**60 - 1}/{10**60} b:1/{10**60}\n"
+)
+
+
+def test_simulate_renders_exact_values_past_the_digit_cap(capsys, tmp_path):
+    problem = tmp_path / "rare.tsl"
+    problem.write_text(RARE_CONSTANT_TEXT)
+    cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    rc, out, err = run(capsys, ["simulate", str(problem), "--depth", "100", "--trials", "10"])
+    assert (rc, err) == (0, "")
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == cap
+    rows = dict(
+        re.match(r"(product:(?:\(.*?\)|\S+)|T:\S+)\s+(\S+)", line).groups()
+        for line in out.splitlines()[2:]
+    )
+    assert rows.pop("T:mean") == str(10**60)
+    compiled = compile_problem(parse_spec(RARE_CONSTANT_TEXT))
+    with tsl.cli._uncapped_digits():
+        exact = {
+            f"product:{compiled.element_label(e)}": str(w)
+            for e, w in exact_product_law(compiled.noise, 100).atoms
+        }
+    assert max(len(v) for v in exact.values()) > 4300
+    # the table lists every closure element, the unreachable ones at 0
+    assert exact.keys() <= rows.keys()
+    assert rows == {k: exact.get(k, "0") for k in rows}
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-string digit cap"
+)
+def test_an_over_long_weight_is_still_refused(capsys, tmp_path):
+    weight = "1" * 4301
+    problem = tmp_path / "long.tsl"
+    problem.write_text(f"space 2\ngen a = 1 2\nnoise iid a:{weight}/{weight}\n")
+    rc, out, err = run(capsys, ["simulate", str(problem), "--trials", "5"])
+    assert (rc, out) == (1, "")
+    assert err == f"error: line 3: bad weight '{weight}/{weight}' for atom 'a'\n"
 
 
 # ----------------------------------------------------------------- fourier

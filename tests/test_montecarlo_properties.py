@@ -128,9 +128,9 @@ def test_trial_kernel_matches_the_full_draw_reference(batch, depth, seed):
 
 def test_trial_blocks_match_the_full_draw_reference_across_block_edges():
     # a 1/3, 2/3 group tail behind a mixed prefix stage and a run of two
-    # different point masses: nothing absorbs, so the trials run in blocks,
-    # and the breakpoint ceil(2^64 / 3) splits bucket 0x55, which some lanes
-    # of every block hit
+    # different point masses: nothing absorbs, so every lane draws every
+    # factor, and the breakpoint ceil(2^64 / 3) splits bucket 0x55, which
+    # some lanes of every block hit
     batch = _absorption_case(
         3,
         {(1, 0, 2): "1/3", (1, 2, 0): "2/3"},
@@ -147,6 +147,33 @@ def test_trial_blocks_match_the_full_draw_reference_across_block_edges():
     for depth in (1, 7):
         for seed in (1, MASK):
             _check_trials(noise, batch, entry, SimConfig(depth, trials, seed))
+
+
+def test_absorbing_trial_blocks_match_the_full_draw_reference_across_block_edges():
+    cases = [
+        # a 1/3, 2/3 tail that absorbs into the constants, split at bucket
+        # 0x55, behind a mixed prefix stage and a point mass that can absorb:
+        # about half the lanes retire at the point mass, the rest at later
+        # tail factors, so every block repacks its int
+        _absorption_case(
+            3,
+            {(0, 1, 1): "1/3", (1, 2, 0): "2/3"},
+            {(0, 0, 1): "1/2", (1, 2, 0): "1/2"},
+            {(0, 0, 1): 1},
+        ),
+        # a constant tail: every lane retires at the first factor
+        _absorption_case(3, {(0, 0, 0): 1}),
+    ]
+    trials = 2 * _BLOCK + 3
+    for batch in cases:
+        space, (tail, *prefix), _ = batch
+        noise = NoiseSpec(tail, tuple(prefix))
+        entry = ProbMeasure.from_weights(
+            state_carrier(space), {0: Fraction(1, 2), 1: Fraction(1, 4), 2: Fraction(1, 4)}
+        )
+        for depth in (1, 7, 64):
+            for seed in (1, MASK):
+                _check_trials(noise, batch, entry, SimConfig(depth, trials, seed))
 
 
 @COMMON
