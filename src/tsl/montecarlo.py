@@ -6,11 +6,11 @@ and identical on every platform and Python version.  Atoms are sampled by
 comparing one 64-bit draw against precomputed integer breakpoints
 ceil(c * 2^64) for the cumulative weights c, which is exactly the event
 u / 2^64 < c; no floating point enters the sampling path.  The trial kernel
-decides each factor from only the bits that fix it, with the same atom for
-every draw: a point-mass factor needs no bits, so its draw is not mixed (the
-stream still moves by GAMMA), and any other factor is read from a 256-entry
-guide on the draw's top byte (Chen & Asau, AIIE Trans. 6, 1974), with the
-breakpoint search only where a breakpoint splits that byte's bucket.
+decides each factor from only the bits that fix it: a point-mass factor
+needs none, so its draw is not mixed (the stream still moves by GAMMA), and
+any other factor is read from a 256-entry guide on the draw's top byte
+(Chen & Asau, AIIE Trans. 6, 1974), with the breakpoint search only where a
+breakpoint splits that byte's bucket.
 
 The kernel runs the trials in blocks of 256, trial j's state in bits 128j
 to 128j + 63 of one int S.  With rep the int with a 1 at the bottom of every
@@ -21,32 +21,27 @@ multiply.  That is exact: every lane holds a value below 2^64, so a 64 x
 bits that a right shift moves in from the next lane land at 64 and above,
 where the mask clears them before they reach a multiply.  Byte 16j + 7 of
 the mixed int, in little-endian order, is the top byte of lane j's mix,
-which reads the guide; only lanes in a split bucket take their full draw.
-A maximal run of k point-mass factors that cannot absorb is one S + (k *
-GAMMA mod 2^64) * rep and one lookup per trial in a jump map, the k-th power
-of the map p -> right[p][atom], built by repeated squaring.  A lane whose
-product is absorbed retires: it records its product and absorption time,
-and the block drops it from S once at most half of S's lanes are live.
+which reads the guide.  The block's product ids are byte lanes, one byte
+per trial, when every (product, guide code) pair fits in a byte; then
+`bytes.translate` steps every lane at once.  Past that byte limit each lane
+steps on its own (see `_tables`).  A maximal run of k point-mass factors
+that cannot absorb is one S + (k * GAMMA mod 2^64) * rep and one jump map,
+the k-th power of p -> right[p][atom] by repeated squaring.  A lane whose
+product is absorbed records it and retires; S drops the retired lanes once
+at most half of them are live.
 
 Per trial the draw order is fixed: the noise for k = 0, -1, ..., -depth+1
-first, then any entry-state draws.  The samplers and the trial kernel read
-`NoiseSpec.closure` directly: ids are closure ids, and products step along
-its right Cayley graph.  The estimators stop drawing noise once the running
-product is absorbed, that is, fixed by every factor that can still come: the
-remaining factors cannot change it.  Before the entry draws of the state
-observable and the coupling, all made by `_entry_runs`, the stream is
-advanced in O(1) to where all depth noise draws would have left it
-(SplitMix64 adds GAMMA to its state per draw), so every result is the same
-as with all draws made.  `simulate_paths` still draws every factor, because
-it reports them.  `stopping_time_stats` runs each trial once and tallies
-both its product, by closure id, and its absorption time, so one pass gives
-the absorption times and, as its ``products``, the product law that
-`estimate_law` gives.  Estimators report empirical frequencies with binomial
-standard errors; exact references for the same quantities come from the
-measure layer, so tests can hold simulation against closed form at three
-sigma.  The exact absorption times walk the product chain with
-`measures.tail_chain`, and `measures.absorption` finds its closed classes and
-solves it: the walk and the solve that `build_product_chain` uses.
+first, then any entry-state draws.  Ids are `NoiseSpec.closure` ids.  The
+estimators stop drawing noise once the running product is absorbed, fixed
+by every factor still to come, and `_entry_runs` advances the stream in
+O(1) to where all depth draws would have left it (SplitMix64 adds GAMMA per
+draw), so every result is the one all draws give; `simulate_paths` draws
+every factor, as it reports them.  `stopping_time_stats` runs each trial
+once for both the absorption times and the product law (its ``products``,
+equal to `estimate_law`'s).  Estimators report binomial standard errors
+against exact references from the measure layer (`measures.tail_chain` and
+`measures.absorption` for the absorption times), so tests can hold
+simulation against closed form at three sigma.
 """
 
 from __future__ import annotations
@@ -55,9 +50,9 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, groupby
+from itertools import accumulate, compress, groupby
 from math import sqrt
-from typing import Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 from .algebra import TransformationElement
 from .errors import CarrierMismatchError, InternalInconsistencyError
@@ -97,7 +92,7 @@ GAMMA = 0x9E3779B97F4A7C15
 _BLOCK = 256
 
 
-def _mix64(z: int) -> int:
+def _mix64(z):
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
     return z ^ (z >> 31)
@@ -117,13 +112,9 @@ class SplitMix64:
 
 
 def trial_stream(seed: int, trial: int) -> SplitMix64:
-    """Stream for one trial, reproducible in isolation.
-
-    The trial's start state is the finalizer of seed + (trial+1) * GAMMA.
-    Without that mixing step, stream t would be stream 0 advanced t draws,
-    and windows read by nearby trials would overlap almost entirely; the
-    finalizer places the streams at unrelated points of the state cycle.
-    """
+    """Stream for one trial, reproducible in isolation: the finalizer of seed +
+    (trial+1) * GAMMA.  Without it, stream t would be stream 0 advanced t
+    draws, and nearby trials would read almost the same windows."""
     return SplitMix64(_mix64((seed + (trial + 1) * GAMMA) & _MASK))
 
 
@@ -142,7 +133,7 @@ class SimConfig:
             raise ValueError("seed must fit in 64 bits")
 
 
-def _sampler(atoms: Sequence[tuple[object, Fraction]]) -> tuple[list[int], list]:
+def _sampler(atoms):
     """(breaks, keys) for exact inverse-CDF sampling of (key, weight) atoms.
 
     ``keys[bisect_right(breaks, u)]`` is the first key whose cumulative
@@ -176,13 +167,10 @@ class _Stage(NamedTuple):
     absorbing: frozenset
 
 
-def _guide(breaks: list, ids: list) -> Optional[list]:
-    """The top-byte guide of a sampler (see `_Stage`), None for a point mass.
-
-    Bucket b holds the draws b * 2^56 .. (b+1) * 2^56 - 1; the first
-    breakpoint above its lowest draw fixes the whole bucket when it lies at
-    or above the bucket's end.
-    """
+def _guide(breaks, ids):
+    """The top-byte guide of a sampler (see `_Stage`), None for a point mass:
+    bucket b, the draws b * 2^56 .. (b+1) * 2^56 - 1, is fixed when the first
+    breakpoint above its lowest draw lies at or above its end."""
     if len(ids) == 1:
         return None
     guide = []
@@ -192,7 +180,7 @@ def _guide(breaks: list, ids: list) -> Optional[list]:
     return guide
 
 
-def _stages(noise: NoiseSpec) -> list[_Stage]:
+def _stages(noise):
     """One `_Stage` per prefix time, then one for the tail.
 
     Ids index `NoiseSpec.closure`; ``stages[m]`` draws the factor at time -m,
@@ -214,18 +202,14 @@ def _stages(noise: NoiseSpec) -> list[_Stage]:
     return stages[::-1]
 
 
-def _plan(stages: list[_Stage], depth: int) -> list[_Stage]:
+def _plan(stages, depth):
     """The stages of the factors for k = 0, -1, ..., -depth+1, in draw order."""
     return [stages[min(m, len(stages) - 1)] for m in range(depth)]
 
 
-def _jump(table: Sequence[Sequence[int]], atom: int, count: int) -> list[int]:
-    """The product after `count` factors `atom`, for every product row p.
-
-    The `count`-th power of the map p -> table[p][atom] over the rows of
-    ``table`` (closure ids, then the kernel's extra rows), by repeated squaring:
-    O(len(table) * log count) lookups.
-    """
+def _jump(table, atom, count):
+    """The product after `count` factors `atom`, for every row p of ``table``:
+    the `count`-th power of p -> table[p][atom] by repeated squaring."""
     step, jump = [row[atom] for row in table], list(range(len(table)))
     while count:
         if count & 1:
@@ -236,125 +220,152 @@ def _jump(table: Sequence[Sequence[int]], atom: int, count: int) -> list[int]:
     return jump
 
 
-def _pack(lanes: list[bytes]) -> tuple[int, int, int]:
-    """(S, rep, M) for streams given as 16 little-endian bytes each: the
-    int S with lane j in bits 128j .. 128j + 127, rep with a 1 at the bottom
-    of every lane, and M = (2^64 - 1) * rep."""
+def _pack(lanes, incs):
+    """(S, M, adds) for streams given as 16 little-endian bytes each: S has
+    lane j in bits 128j .. 128j + 127, and with rep the int with a 1 at the
+    bottom of every lane, M = (2^64 - 1) * rep and adds[i] = incs[i] * rep."""
     rep = ((1 << (128 * len(lanes))) - 1) // ((1 << 128) - 1)
-    return int.from_bytes(b"".join(lanes), "little"), rep, _MASK * rep
+    return int.from_bytes(b"".join(lanes), "little"), _MASK * rep, [i * rep for i in incs]
 
 
-def _trial_kernel(
-    noise: NoiseSpec, stages: list[_Stage], cfg: SimConfig
-) -> Iterator[tuple[SplitMix64, int, Optional[int]]]:
+def _tables(noise, stages):
+    """(byte, rows, tables): the trial kernel's product rows and step tables.
+
+    The rows are those of ``closure.right``, then "no factor yet" (generator
+    column j is element j), then "done" for retired lanes, which every factor
+    leaves; each other row ends in the split marker, which a split bucket's
+    guide entry (-1) picks.  A mixed stage's codes are its distinct guide
+    atoms and -1, the marker's code; a point mass's are its atom.  The lanes
+    are bytes, with marker 255, when rows x codes <= 256 for every stage;
+    past that byte limit the marker is -1.  ``tables[id(stage)]`` is (move,
+    guide, k, absorbing) with k codes: ``move[p * k + c]`` is the step of
+    product p by the c-th code, so a point mass steps p to ``move[p]``; on
+    byte lanes move is a `bytes.translate` table, a mixed stage's
+    ``guide[b]`` is the code of bucket b, and ``absorbing`` a 0/1 table.
+    """
+    closure, done = noise.closure, noise.closure.size + 1
+    rows = [*closure.right, closure.generators, [done] * len(closure.generators)]
+    cols = {id(s): (*sorted(set(s.guide) - {-1}), -1) if s.guide else s.ids for s in stages}
+    byte = len(rows) * max(map(len, cols.values())) <= 256
+    rows = [(*row, 255 if byte else -1) for row in rows]
+    rows[done] = (done,) * len(rows[done])
+    tables = {}
+    for stage in stages:
+        codes, guide, absorbing = cols[id(stage)], stage.guide, stage.absorbing
+        move = [row[a] for row in rows for a in codes]
+        if byte:
+            move, guide = bytes(move).ljust(256, b"\0"), guide and bytes(map(codes.index, guide))
+            absorbing = absorbing and bytes(p in absorbing for p in range(256))
+        tables[id(stage)] = move, guide, len(codes), absorbing
+    return byte, rows, tables
+
+
+def _trial_kernel(noise, stages, cfg):
     """Run the trials in trial order: (stream, product id, absorbed_at) each.
 
-    The stream is `trial_stream(cfg.seed, t)`.  ``absorbed_at`` is the
-    first count t of factors whose product lies in the absorbing set of
-    stage t-1, None if there is none within the depth.  Every later factor
-    fixes that product, so drawing stops there and the stream is left after
-    draw t; the product id is the product of all ``cfg.depth`` factors
-    either way.  Products step along ``closure.right`` by atom id, a
-    generator column (see `_stages`).
+    The stream is `trial_stream(cfg.seed, t)`.  ``absorbed_at`` is the first
+    count t of factors whose product lies in the absorbing set of stage t-1,
+    None if there is none within the depth; every later factor fixes that
+    product, so drawing stops after draw t.  The product id is that of all
+    ``cfg.depth`` factors either way.
 
-    Each factor moves the stream state by GAMMA, as `SplitMix64.next_u64`
-    does, but only mixes it when the factor depends on the draw.  A
-    point-mass stage takes its one atom unmixed.  Otherwise the guide is
-    read at the top byte of the mixed state before the final xorshift,
-    ``z >> 56``, which is the top byte of the draw ``z ^ (z >> 31)``
-    because ``z >> 31 < 2^33``; only a split bucket (-1) finishes the draw
-    and searches the breakpoints.  Every factor is the atom that
-    ``ids[bisect_right(breaks, draw)]`` gives.
+    A factor moves the stream by GAMMA, as `SplitMix64.next_u64` does, and
+    mixes it only when the factor depends on the draw.  The guide is read at
+    ``z >> 56`` of the mix before the final xorshift, the top byte of the
+    draw ``z ^ (z >> 31)`` as ``z >> 31 < 2^33``; a lane in a split bucket
+    finishes its draw, so every factor is ``ids[bisect_right(breaks, draw)]``.
 
-    The trials run in blocks of `_BLOCK`, one 128-bit lane per stream in
-    one int (see the module docstring).  A maximal run of point-mass factors
-    none of whose stages can absorb is one step.  After a step whose stage
-    can absorb, each lane whose product lies in its absorbing set records
-    the product and retires: its product becomes the "done" row, which
-    every factor and the split bucket leave as it is, and the int drops the
-    retired lanes once at most half of its lanes are live.
+    The trials run in blocks of `_BLOCK` (see the module docstring), one
+    product id per lane.  On byte lanes (see `_tables`) the product ids are
+    bytes and each step is `bytes.translate`: a point mass translates
+    them; a mixed step translates the lanes' top bytes to codes, then the
+    bytes of ids * codes + code through ``move``, no byte carrying into the
+    next as each stays below 256.  Past the byte limit each lane steps on its
+    own, ``rows[p][guide[b]]``.  After a step whose stage can absorb, the
+    absorbed lanes record their products and retire to the "done" row.
     """
-    plan = _plan(stages, cfg.depth)
-    closure = noise.closure
-    start, done = closure.size, closure.size + 1
-    # the closure's rows, then "no factor yet": generator column j is
-    # element j, so `closure.generators` maps each factor to itself; then
-    # "done", the product of a retired lane, which every factor leaves
-    table = [*closure.right, closure.generators, [done] * len(closure.generators)]
-    # (factors so far, stream increment, jump map or None, breaks, ids,
-    # guide, absorbing) per step: one step per mixed factor and per
-    # point-mass factor that can absorb, one per maximal run of point-mass
-    # factors that cannot; the increment of a mixed step carries the GAMMAs
-    # of the point-mass steps since the last one
-    steps, columns, t, inc = [], {}, 0, 0
-    for fold, run in groupby(plan, key=lambda stage: not stage.absorbing and stage.guide is None):
+    byte, rows, tables = _tables(noise, stages)
+    start, done, marker = len(rows) - 2, len(rows) - 1, rows[0][-1]
+    # (factors so far, increment index or None, move, guide, codes, absorbing,
+    # breaks, ids): one step per mixed factor, per point-mass factor that can
+    # absorb and per maximal run of those that cannot; the increment of a
+    # mixed step carries the GAMMAs of the point-mass steps since the last one
+    steps, incs, t, inc = [], {}, 0, 0
+    for fold, run in groupby(
+        _plan(stages, cfg.depth), key=lambda stage: not stage.absorbing and stage.guide is None
+    ):
         if fold:
             atoms = [stage.ids[0] for stage in run]
-            jump = list(range(len(table)))
+            jump = list(range(len(rows)))
             for atom, same in groupby(atoms):
-                power = _jump(table, atom, sum(1 for _ in same))
+                power = _jump(rows, atom, sum(1 for _ in same))
                 jump = [power[p] for p in jump]
             t, inc = t + len(atoms), inc + len(atoms)
-            steps.append((t, 0, jump, None, None, None, frozenset()))
+            jump = bytes(jump).ljust(256, b"\0") if byte else jump
+            steps.append((t, None, jump, None, 1, None, None, None))
             continue
-        for breaks, ids, guide, absorbing in run:
-            t, inc = t + 1, inc + 1
-            if guide is None:
-                if ids[0] not in columns:
-                    columns[ids[0]] = [row[ids[0]] for row in table]
-                steps.append((t, 0, columns[ids[0]], None, None, None, absorbing))
-            else:
-                steps.append((t, (inc * GAMMA) & _MASK, None, breaks, ids, guide, absorbing))
-                inc = 0
-    # each row ends in -1, which a split bucket's guide entry (-1) picks: a
-    # lane whose product comes out -1 is finished from its full draw; the
-    # done row stays done there too
-    table = [(*row, -1) for row in table]
-    table[done] = (done,) * len(table[done])
-    skip = (cfg.depth * GAMMA) & _MASK
+        for stage in run:
+            t, inc, add = t + 1, inc + 1, None
+            if stage.guide:
+                add, inc = incs.setdefault((inc * GAMMA) & _MASK, len(incs)), 0
+            steps.append((t, add, *tables[id(stage)], stage.breaks, stage.ids))
+    incs, skip = list(incs), (cfg.depth * GAMMA) & _MASK
     for first in range(0, cfg.trials, _BLOCK):
         rngs = [trial_stream(cfg.seed, t) for t in range(first, min(first + _BLOCK, cfg.trials))]
-        # per trial of the block: the product id, absorbed_at and the
-        # stream increment of its draws; the trial of each lane, the live lanes
-        products: list = [None] * len(rngs)
-        times: list = [None] * len(rngs)
+        # per trial: product id, absorbed_at, stream increment; each lane's trial
+        products = [None] * len(rngs)
+        times = [None] * len(rngs)
         ends = [skip] * len(rngs)
         trials, live = list(range(len(rngs))), len(rngs)
-        s, rep, m = _pack([rng.state.to_bytes(16, "little") for rng in rngs])
-        pids = [start] * live
-        for t, inc, jump, breaks, ids, guide, absorbing in steps:
-            if jump is not None:
-                pids = [jump[p] for p in pids]
+        s, m, adds = _pack([rng.state.to_bytes(16, "little") for rng in rngs], incs)
+        pids = bytes([start] * live) if byte else [start] * live
+        for t, add, move, guide, codes, absorbing, breaks, ids in steps:
+            if add is None:
+                pids = pids.translate(move) if byte else [move[p] for p in pids]
             else:
-                s = (s + inc * rep) & m
+                s = (s + adds[add]) & m
                 z = (((s ^ (s >> 30)) & m) * 0xBF58476D1CE4E5B9) & m
                 z = ((z ^ (z >> 27)) & m) * 0x94D049BB133111EB
                 lane = z.to_bytes(16 * len(pids), "little")
-                stepped = [table[p][guide[b]] for p, b in zip(pids, lane[7::16])]
-                if -1 in stepped:
-                    for j, pid in enumerate(stepped):
-                        if pid < 0:
-                            u = int.from_bytes(lane[16 * j : 16 * j + 8], "little")
-                            f = ids[bisect_right(breaks, u ^ (u >> 31))]
-                            stepped[j] = table[pids[j]][f]
+                if byte:
+                    code = int.from_bytes(pids, "little") * codes
+                    code += int.from_bytes(lane[7::16].translate(guide), "little")
+                    stepped = code.to_bytes(len(pids), "little").translate(move)
+                    if marker in stepped:
+                        stepped = bytearray(stepped)
+                else:
+                    stepped = [rows[p][guide[b]] for p, b in zip(pids, lane[7::16])]
+                j = -1
+                for _ in range(stepped.count(marker)):
+                    j = stepped.index(marker, j + 1)
+                    u = int.from_bytes(lane[16 * j : 16 * j + 8], "little")
+                    stepped[j] = rows[pids[j]][ids[bisect_right(breaks, u ^ (u >> 31))]]
                 pids = stepped
             # an empty set would still walk every lane
-            if not absorbing or absorbing.isdisjoint(pids):
+            if not absorbing:
                 continue
-            for j, pid in enumerate(pids):
-                if pid in absorbing:
-                    k = trials[j]
-                    products[k], times[k], ends[k] = pid, t, (t * GAMMA) & _MASK
-                    pids[j] = done
-                    live -= 1
+            if byte:
+                hits = pids.translate(absorbing)
+                if 1 not in hits:
+                    continue
+                pids, hits = bytearray(pids), compress(range(len(pids)), hits)
+            elif absorbing.isdisjoint(pids):
+                continue
+            else:
+                hits = [j for j, pid in enumerate(pids) if pid in absorbing]
+            for j in hits:
+                k = trials[j]
+                products[k], times[k], ends[k] = pids[j], t, (t * GAMMA) & _MASK
+                pids[j] = done
+                live -= 1
             if not live:
                 break
             if 2 * live <= len(pids):
                 keep = [j for j, pid in enumerate(pids) if pid != done]
                 lanes = s.to_bytes(16 * len(pids), "little")
-                s, rep, m = _pack([lanes[16 * j : 16 * j + 16] for j in keep])
+                s, m, adds = _pack([lanes[16 * j : 16 * j + 16] for j in keep], incs)
                 trials = [trials[j] for j in keep]
-                pids = [pids[j] for j in keep]
+                pids = type(pids)([pids[j] for j in keep])
         if live < len(rngs):
             for j, pid in zip(trials, pids):
                 if pid != done:
@@ -365,12 +376,9 @@ def _trial_kernel(
             yield rng, pid, absorbed_at
 
 
-def _skip_to_window_end(rng: SplitMix64, depth: int, absorbed_at: Optional[int]) -> None:
-    """Move the stream to where all `depth` factor draws would have left it.
-
-    SplitMix64 adds GAMMA to its state per draw, so skipping k draws is one
-    addition of k * GAMMA.
-    """
+def _skip_to_window_end(rng, depth, absorbed_at):
+    """Move the stream to where all `depth` factor draws would have left it:
+    SplitMix64 adds GAMMA to its state per draw."""
     if absorbed_at is not None:
         rng.state = (rng.state + (depth - absorbed_at) * GAMMA) & _MASK
 
@@ -403,7 +411,7 @@ class CouplingSample:
     collision: bool
 
 
-def _as_entry_measure(noise: NoiseSpec, entry: Union[ProbMeasure, int]) -> ProbMeasure:
+def _as_entry_measure(noise, entry):
     if isinstance(entry, int):
         return ProbMeasure.point(state_carrier(noise.space), entry)
     if entry.carrier != state_carrier(noise.space):
@@ -411,9 +419,7 @@ def _as_entry_measure(noise: NoiseSpec, entry: Union[ProbMeasure, int]) -> ProbM
     return entry
 
 
-def _entry_runs(
-    noise: NoiseSpec, cfg: SimConfig, entries: Sequence[ProbMeasure]
-) -> Iterator[tuple[int, tuple[int, ...], list]]:
+def _entry_runs(noise, cfg, entries):
     """Per trial: (trial, image of the product, one draw from each entry law).
 
     The kernel, `_skip_to_window_end`, then the entry draws in order: the
@@ -442,14 +448,8 @@ def simulate_paths(
         rng = trial_stream(cfg.seed, trial)
         ids = [stage.ids[bisect_right(stage.breaks, rng.next_u64())] for stage in plan]
         product_ids = list(accumulate(ids, lambda p, f: right[p][f]))
-        absorbed = next(
-            (
-                t
-                for t, (pid, stage) in enumerate(zip(product_ids, plan), 1)
-                if pid in stage.absorbing
-            ),
-            None,
-        )
+        steps = enumerate(zip(product_ids, plan), 1)
+        absorbed = next((t for t, (pid, stage) in steps if pid in stage.absorbing), None)
         x_path = None
         if entry_law is not None:
             breaks, keys = entry_law
@@ -476,21 +476,13 @@ class LawEstimate:
     atoms: tuple[tuple[object, int, float, float], ...]
 
     def frequency(self, key) -> float:
-        for k, _, f, _ in self.atoms:
-            if k == key:
-                return f
-        return 0.0
+        return next((f for k, _, f, _ in self.atoms if k == key), 0.0)
 
     def count(self, key) -> int:
-        for k, c, _, _ in self.atoms:
-            if k == key:
-                return c
-        return 0
+        return next((c for k, c, _, _ in self.atoms if k == key), 0)
 
 
-def _estimate_from_counts(
-    counts: Sequence[int], keys: Sequence, cfg: SimConfig
-) -> LawEstimate:
+def _estimate_from_counts(counts, keys, cfg):
     atoms = []
     for k, c in zip(keys, counts):
         p = c / cfg.trials
@@ -498,9 +490,7 @@ def _estimate_from_counts(
     return LawEstimate(cfg.trials, cfg.depth, tuple(atoms))
 
 
-def _tally(
-    noise: NoiseSpec, stages: list[_Stage], cfg: SimConfig
-) -> tuple[list[int], list[int]]:
+def _tally(noise, stages, cfg):
     """Run each trial once: product counts by closure id, and the absorption
     times of the trials that absorbed, in trial order."""
     counts = [0] * noise.closure.size
@@ -561,9 +551,7 @@ class StoppingTimeStats:
     products: LawEstimate
 
 
-def _exact_absorption(
-    noise: NoiseSpec, stages: list[_Stage]
-) -> tuple[Optional[Fraction], Fraction]:
+def _exact_absorption(noise, stages):
     """Exact E[T] and P(T = infinity) for the generalized absorption time.
 
     E[T] = sum over t >= 0 of P(T > t).  Over the prefix, `product_laws`
@@ -594,6 +582,7 @@ def stopping_time_stats(noise: NoiseSpec, cfg: SimConfig) -> StoppingTimeStats:
     stages = _stages(noise)
     counts, times = _tally(noise, stages, cfg)
     exact_mean, infinite = _exact_absorption(noise, stages)
+    mean = stderr = median = q90 = None
     if times:
         mean = sum(times) / len(times)
         var = sum((t - mean) ** 2 for t in times) / len(times)
@@ -601,9 +590,6 @@ def stopping_time_stats(noise: NoiseSpec, cfg: SimConfig) -> StoppingTimeStats:
         times.sort()  # in place, after the sums that run in trial order
         median = times[len(times) // 2]
         q90 = times[min(len(times) - 1, (len(times) * 9) // 10)]
-    else:
-        mean = stderr = None
-        median = q90 = None
     return StoppingTimeStats(
         trials=cfg.trials,
         depth=cfg.depth,

@@ -29,6 +29,7 @@ from tsl.montecarlo import (
     _jump,
     _skip_to_window_end,
     _stages,
+    _tables,
     _trial_kernel,
 )
 from tsl.solver import Origin, SolutionLawFamily
@@ -50,6 +51,12 @@ noises = st.integers(1, 3).flatmap(
 )
 depths = st.integers(1, 10)
 seeds = st.integers(0, (1 << 64) - 1)
+# three maps on four states at 1/3 each: a 62-product closure, so 64 product
+# rows (with "no factor yet" and "done") times 4 codes (3 guide atoms and the
+# split marker) is exactly the 256 that byte lanes allow
+AT_BYTE_LIMIT = _absorption_case(
+    4, {(1, 0, 1, 3): "1/3", (2, 1, 3, 1): "1/3", (2, 1, 0, 2): "1/3"}
+)
 
 
 def _images(m: ProbMeasure) -> dict:
@@ -174,6 +181,111 @@ def test_absorbing_trial_blocks_match_the_full_draw_reference_across_block_edges
         for depth in (1, 7, 64):
             for seed in (1, MASK):
                 _check_trials(noise, batch, entry, SimConfig(depth, trials, seed))
+
+
+def test_trial_blocks_match_the_full_draw_reference_at_and_past_the_byte_limit():
+    cases = [
+        # T4's generators at 1/3 each: 256 products, absorbing into the
+        # constants; 258 rows are past the byte limit, so each lane steps alone
+        (_absorption_case(4, {(1, 0, 2, 3): "1/3", (1, 2, 3, 0): "1/3", (0, 0, 2, 3): "1/3"}), False),
+        # S5 at 1/3, 2/3: 120 products that never absorb, 122 rows x 3 codes
+        # past the limit, and the breakpoint ceil(2^64 / 3) splits bucket 0x55
+        (_absorption_case(5, {(1, 0, 2, 3, 4): "1/3", (1, 2, 3, 4, 0): "2/3"}), False),
+        # exactly at the limit: byte lanes; lanes retire from the first
+        # factors on, about half of them by factor 14, so at depth 64 every
+        # block repacks
+        (AT_BYTE_LIMIT, True),
+    ]
+    trials = 2 * _BLOCK + 3
+    for batch, byte in cases:
+        space, (tail, *prefix), _ = batch
+        noise = NoiseSpec(tail, tuple(prefix))
+        assert _tables(noise, _stages(noise))[0] is byte
+        entry = ProbMeasure.from_weights(
+            state_carrier(space), {0: Fraction(1, 2), 1: Fraction(1, 4), 2: Fraction(1, 4)}
+        )
+        for depth in (1, 7, 64):
+            for seed in (1, MASK):
+                _check_trials(noise, batch, entry, SimConfig(depth, trials, seed))
+
+
+@COMMON
+@given(noises)
+@example(AT_BYTE_LIMIT)
+def test_byte_step_tables_match_the_right_cayley_graph(batch):
+    _, (tail, *prefix), _ = batch
+    noise = NoiseSpec(tail, tuple(prefix))
+    closure, stages = noise.closure, _stages(noise)
+    byte, _, tables = _tables(noise, stages)
+    # at most 3 states and 4 atoms a stage: 29 rows x 5 codes fit in a byte
+    assert byte
+    start, done = closure.size, closure.size + 1
+    for stage in stages:
+        move, guide, codes, absorbing = tables[id(stage)]
+        if stage.absorbing:
+            assert [absorbing[p] for p in range(done + 1)] == [
+                p in stage.absorbing for p in range(done + 1)
+            ]
+        if stage.guide is None:
+            (f,) = stage.ids
+            assert [move[p] for p in range(start)] == [row[f] for row in closure.right]
+            assert (move[start], move[done]) == (f, done)
+            continue
+        assert codes == len(set(stage.guide) - {-1}) + 1
+        for b, f in enumerate(stage.guide):
+            step = [move[p * codes + guide[b]] for p in range(done + 1)]
+            # the done row stays done; a split bucket gives the marker, 255
+            assert step[done] == done
+            if f == -1:
+                assert step[:done] == [255] * done
+            else:
+                assert step[:done] == [row[f] for row in closure.right] + [f]
+
+
+def test_each_trial_stream_is_made_once_and_moves_one_gamma_per_draw(monkeypatch):
+    # the contract that the benchmark's tracer reads draws from: it wraps
+    # `trial_stream` and counts each stream's state difference in GAMMAs
+    cases = [
+        # a 1/3, 2/3 tail absorbing into the constants behind a mixed stage
+        # and a point mass that can absorb
+        _absorption_case(
+            3,
+            {(0, 1, 1): "1/3", (1, 2, 0): "2/3"},
+            {(0, 0, 1): "1/2", (1, 2, 0): "1/2"},
+            {(0, 0, 1): 1},
+        ),
+        # a group tail behind a run of point masses: nothing absorbs
+        _absorption_case(3, {(1, 0, 2): "1/3", (1, 2, 0): "2/3"}, {(2, 0, 1): 1}, {(0, 2, 1): 1}),
+        # T4 past the byte limit
+        _absorption_case(4, {(1, 0, 2, 3): "1/3", (1, 2, 3, 0): "1/3", (0, 0, 2, 3): "1/3"}),
+    ]
+    made = []
+
+    def recording(seed, trial):
+        rng = trial_stream(seed, trial)
+        made.append((seed, trial, rng, rng.state))
+        return rng
+
+    monkeypatch.setattr("tsl.montecarlo.trial_stream", recording)
+    trials = 2 * _BLOCK + 3
+    for batch in cases:
+        _, (tail, *prefix), _ = batch
+        noise = NoiseSpec(tail, tuple(prefix))
+        prefix_images, tail_images = [_images(m) for m in prefix], _images(tail)
+        for depth in (1, 7, 64):
+            made.clear()
+            stats = stopping_time_stats(noise, SimConfig(depth, trials, MASK))
+            assert sorted(trial for _, trial, _, _ in made) == list(range(trials))
+            absorbed = 0
+            for seed, trial, rng, start in made:
+                assert seed == MASK
+                _, absorbed_at = backward_product_reference(
+                    prefix_images, tail_images, depth, start
+                )
+                absorbed += absorbed_at is not None
+                draws = depth if absorbed_at is None else absorbed_at
+                assert (rng.state - start) & MASK == (draws * GAMMA) & MASK
+            assert stats.absorbed == absorbed
 
 
 @COMMON
