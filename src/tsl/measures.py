@@ -1,7 +1,9 @@
 """Exact probability measures and limit analysis of backward products.
 
-Everything on the analysis path is a `fractions.Fraction`; equality of
-measures is decidable and decided exactly.  Floats never enter this module.
+Every weight is exact: laws of products are stepped as integer numerators
+over one common denominator (`NoiseSpec.step`), and every weight that leaves
+that layer is a `fractions.Fraction`, so equality of measures is decidable and
+decided exactly.  Floats never enter this module.
 
 The central object is the right-multiplication chain of running products
 P(1) = T(1), P(t+1) = P(t) T(t+1) with T(t) drawn i.i.d. from the stationary
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Iterator, Literal, Mapping, Optional, Sequence, Union
 
 from .algebra import (
@@ -165,7 +167,7 @@ class ProbMeasure:
         out: dict[MeasureKey, Fraction] = {}
         for k, w in self.atoms:
             kk = f(k)
-            out[kk] = out.get(kk, Fraction(0)) + w
+            out[kk] = out.get(kk, 0) + w
         return ProbMeasure.from_weights(self.carrier, out)
 
 
@@ -179,7 +181,7 @@ def mix(measures: Sequence[ProbMeasure], weights: Sequence[Fraction]) -> ProbMea
         if m.carrier != carrier:
             raise CarrierMismatchError("mixture components live on different carriers")
         for k, v in m.atoms:
-            out[k] = out.get(k, Fraction(0)) + w * v
+            out[k] = out.get(k, 0) + w * v
     return ProbMeasure.from_weights(carrier, out)
 
 
@@ -191,7 +193,7 @@ def convolve(mu1: ProbMeasure, mu2: ProbMeasure) -> ProbMeasure:
     for a, wa in mu1.atoms:
         for b, wb in mu2.atoms:
             c = compose(a, b)
-            out[c] = out.get(c, Fraction(0)) + wa * wb
+            out[c] = out.get(c, 0) + wa * wb
     return ProbMeasure.from_weights(mu1.carrier, out)
 
 
@@ -205,7 +207,7 @@ def act(mu: ProbMeasure, lam: ProbMeasure) -> ProbMeasure:
     for sigma, ws in mu.atoms:
         for x, wx in lam.atoms:
             y = sigma.image[x]
-            out[y] = out.get(y, Fraction(0)) + ws * wx
+            out[y] = out.get(y, 0) + ws * wx
     return ProbMeasure.from_weights(lam.carrier, out)
 
 
@@ -213,8 +215,8 @@ def tv_distance(m1: ProbMeasure, m2: ProbMeasure) -> Fraction:
     """Total variation distance, exact."""
     if m1.carrier != m2.carrier:
         raise CarrierMismatchError("total variation needs a shared carrier")
-    keys = {k for k, _ in m1.atoms} | {k for k, _ in m2.atoms}
-    total = sum((abs(m1.weight(k) - m2.weight(k)) for k in keys), Fraction(0))
+    keys = {*m1.support, *m2.support}
+    total = sum(abs(m1.weight(k) - m2.weight(k)) for k in keys)
     return total / 2
 
 
@@ -264,16 +266,10 @@ class NoiseSpec:
     def measure_at(self, k: int) -> ProbMeasure:
         if k > 0:
             raise ValueError(f"noise is indexed by k <= 0, got {k}")
-        idx = -k
-        if idx < len(self.prefix):
-            return self.prefix[idx]
-        return self.tail
+        return self.prefix[-k] if -k < len(self.prefix) else self.tail
 
     def support_elements(self) -> tuple[TransformationElement, ...]:
-        seen = set(self.tail.support)
-        for m in self.prefix:
-            seen.update(m.support)
-        return tuple(sorted(seen))
+        return tuple(sorted({e for m in (self.tail, *self.prefix) for e in m.support}))
 
     @cached_property
     def closure(self) -> FiniteSemigroup:
@@ -287,24 +283,44 @@ class NoiseSpec:
         laws = (*self.prefix, self.tail)
         return tuple(tuple((index[e], w) for e, w in mu.atoms) for mu in laws)
 
-    def step(self, law: Mapping[int, Fraction], atoms: Sequence) -> dict[int, Fraction]:
-        """Exact law after one more factor, multiplied on the right, from `atoms`."""
+    @cached_property
+    def atom_numerators(self) -> tuple:
+        """Each stage of `atom_ids` as a law of one factor, as `step` holds laws."""
+        out = []
+        for atoms in self.atom_ids:
+            d = lcm(*(w.denominator for _, w in atoms))
+            out.append(({i: int(w * d) for i, w in atoms}, d))
+        return tuple(out)
+
+    def step(self, law: tuple, stage: tuple) -> tuple:
+        """The law after one more factor drawn from `stage`, on the right.
+
+        A law is (numerator by closure id, denominator): numerators and
+        denominators multiply, and nothing is reduced.
+        """
         right = self.closure.right
-        out: dict[int, Fraction] = {}
-        for p, w in law.items():
+        out = {}
+        for p, n in law[0].items():
             row = right[p]
-            for f, wf in atoms:
-                out[row[f]] = out.get(row[f], Fraction(0)) + w * wf
-        return out
+            for f, nf in stage[0].items():
+                out[row[f]] = out.get(row[f], 0) + n * nf
+        return out, law[1] * stage[1]
 
-    def product_laws(self, depth: int) -> Iterator[dict[int, Fraction]]:
-        """Exact laws of the products of the first t factors, t = 1..depth."""
-        first, *later = (self.atom_ids[min(m, self.prefix_length)] for m in range(depth))
-        return accumulate(later, self.step, initial=dict(first))
+    def product_laws(self, depth: int) -> Iterator[tuple]:
+        """Exact laws of the products of the first t factors, t = 1..depth.
 
-    def tail_rows(self, products: Iterable[int]) -> list[dict[int, Fraction]]:
-        """One tail step from each product: its successors' ids and weights."""
-        return [self.step({p: Fraction(1)}, self.atom_ids[-1]) for p in products]
+        Each is held as `step` holds laws.  The first is the cached first
+        stage of `atom_numerators` itself, so the laws are read, never written.
+        """
+        stages = (self.atom_numerators[min(m, self.prefix_length)] for m in range(depth))
+        return accumulate(stages, self.step)
+
+    def tail_rows(self, products: Iterable[int]) -> list[dict[int, int]]:
+        """One tail step from each product: its successors' ids and numerators.
+
+        The numerators are over the tail stage's denominator.
+        """
+        return [self.step(({p: 1}, 1), self.atom_numerators[-1])[0] for p in products]
 
     def is_iid(self) -> bool:
         return all(m == self.tail for m in self.prefix)
@@ -443,29 +459,33 @@ def _class_period(members: Sequence[int], succ: Sequence[Iterable[int]]) -> int:
         for v in succ[u]:
             if v in member_set:
                 g = gcd(g, level[u] + 1 - level[v])
-    return abs(g) if g else 1
+    return g or 1
 
 
 def tail_chain(
-    noise: NoiseSpec, law: Iterable[int]
-) -> tuple[list[int], list[dict[int, Fraction]]]:
-    """The closure ids reachable from ``law`` by tail steps, and their rows.
+    noise: NoiseSpec, law: tuple
+) -> tuple[list[int], list[dict[int, Fraction]], list[Fraction]]:
+    """The ids that tail steps reach from ``law``, their rows, and ``law`` on them.
 
-    Breadth first: the support of ``law``, then each level's new successors,
-    each level in image order.  ``out[j]`` maps the position of each
-    successor of ``ids[j]`` to its one-step weight.
+    ``law`` is held as `NoiseSpec.step` holds laws.  Breadth first: the
+    support of ``law``, then each level's new successors, each level in image
+    order.  ``out[j]`` maps the position of each successor of ``ids[j]`` to
+    its one-step weight; the weights and ``law``'s are Fractions.
     """
+    nums, den = law
     element = noise.closure.element
-    ids = sorted(law, key=element)
+    d = noise.atom_numerators[-1][1]
+    ids = sorted(nums, key=element)
     index = {p: j for j, p in enumerate(ids)}
-    rows: list[dict[int, Fraction]] = []  # the rows of ids[:len(rows)]
+    rows: list[dict[int, int]] = []  # the rows of ids[:len(rows)]
     while len(rows) < len(ids):
         level = noise.tail_rows(ids[len(rows):])
         rows.extend(level)
         for p in sorted({q for row in level for q in row if q not in index}, key=element):
             index[p] = len(ids)
             ids.append(p)
-    return ids, [{index[q]: w for q, w in row.items()} for row in rows]
+    out = [{index[q]: Fraction(n, d) for q, n in row.items()} for row in rows]
+    return ids, out, [Fraction(nums.get(p, 0), den) for p in ids]
 
 
 def absorption(
@@ -527,15 +547,15 @@ def build_product_chain(noise: NoiseSpec) -> ProductChain:
     Transitions, absorption probabilities and per-class stationary laws are
     exact rationals.
     """
-    tail = dict(noise.atom_ids[-1])
-    ids, out = tail_chain(noise, tail)
-    initial = [tail.get(p, Fraction(0)) for p in ids]
+    ids, out, initial = tail_chain(noise, noise.atom_numerators[-1])
     recurrent_sets, absorptions, transient, _ = absorption(out, initial)
-    classes = []
-    for members, hit in zip(recurrent_sets, absorptions):
-        period = _class_period(members, out)
-        stationary = tuple(zip(members, stationary_on_class(members, out)))
-        classes.append(RecurrentClass(members, period, hit, stationary))
+    classes = [
+        RecurrentClass(
+            members, _class_period(members, out), hit,
+            tuple(zip(members, stationary_on_class(members, out))),
+        )
+        for members, hit in zip(recurrent_sets, absorptions)
+    ]
     return ProductChain(
         noise.space, tuple(map(noise.closure.element, ids)),
         tuple(tuple(sorted(row.items())) for row in out), tuple(initial),
@@ -626,11 +646,10 @@ def _subgroup_qualifies(
     # is simply transitive: the residual limit randomness is one uniform
     # draw over a free orbit.  This pins the canonical subgroup; without it
     # absorbing supports would let arbitrarily small subgroups qualify.
-    support = [s for s in nu.support if isinstance(s, TransformationElement)]
     return all(
         sum(1 for h in subgroup.elements if compose(h, a) == b) == 1
-        for a in support
-        for b in support
+        for a in nu.support
+        for b in nu.support
     )
 
 
@@ -655,20 +674,17 @@ def limit_analysis(
         (a)-(c) always come back.
     """
     chain = build_product_chain(noise)
-    as_convergence = all(c.is_singleton for c in chain.recurrent_classes)
-    converges_in_law = all(c.period == 1 for c in chain.recurrent_classes)
+    classes = chain.recurrent_classes
+    as_convergence = all(c.is_singleton for c in classes)
+    converges_in_law = all(c.period == 1 for c in classes)
 
-    element_car = noise.carrier
-    mixture_parts = []
-    mixture_weights = []
-    for cls in chain.recurrent_classes:
-        law = ProbMeasure.from_weights(
-            element_car,
-            {chain.states[i]: w for i, w in cls.stationary},
-        )
-        mixture_parts.append(law)
-        mixture_weights.append(cls.absorption)
-    cesaro = mix(mixture_parts, mixture_weights)
+    cesaro = mix(
+        [
+            ProbMeasure.from_weights(noise.carrier, {chain.states[i]: w for i, w in c.stationary})
+            for c in classes
+        ],
+        [c.absorption for c in classes],
+    )
 
     # the Cesaro limit of the tail's convolution powers is fixed by the tail,
     # so every window law from the prefix down is the limit law itself

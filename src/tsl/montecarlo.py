@@ -555,22 +555,23 @@ def _exact_absorption(noise, stages):
     """Exact E[T] and P(T = infinity) for the generalized absorption time.
 
     E[T] = sum over t >= 0 of P(T > t).  Over the prefix, `product_laws`
-    steps the law of the product; from the first all-tail time on, the rest
-    is the expected absorption time of the homogeneous product chain, which
-    `measures.absorption` solves on the `tail_chain` from the law after the
-    prefix: those products are closed under successors, so its classes and
-    solutions are those of the whole closure, restricted.  Under the tail,
+    steps the law of the product in integer numerators over one denominator,
+    and each P(T > t) is one Fraction; from the first all-tail time on, the
+    rest is the expected absorption time of the homogeneous product chain,
+    which `measures.absorption` solves on the `tail_chain` from the law after
+    the prefix: those products are closed under successors, so its classes
+    and solutions are those of the whole closure, restricted.  Under the tail,
     singleton closed classes are the absorbing products and larger ones are
     never left, so P(T = infinity) is the chance of entering a larger one.
     """
     # the laws after t = 1..steps factors; head is P(T > t) for t < steps
     *earlier, law = noise.product_laws(max(noise.prefix_length, 1))
-    head = Fraction(0)
-    for stage, seen in zip(stages, earlier):
-        head += sum(w for i, w in seen.items() if i not in stage.absorbing)
-    ids, out = tail_chain(noise, law)
-    classes, hits, _, steps = absorption(out, [law.get(p, 0) for p in ids])
-    infinite = sum((h for c, h in zip(classes, hits) if len(c) > 1), Fraction(0))
+    head = 0
+    for stage, (seen, d) in zip(stages, earlier):
+        head += Fraction(sum(n for i, n in seen.items() if i not in stage.absorbing), d)
+    _, out, initial = tail_chain(noise, law)
+    classes, hits, _, steps = absorption(out, initial)
+    infinite = sum(h for c, h in zip(classes, hits) if len(c) > 1)
     if infinite != 0:
         return None, infinite
     return 1 + head + steps, Fraction(0)
@@ -646,12 +647,18 @@ def ci_coupling(
 
 
 def exact_product_law(noise: NoiseSpec, depth: int) -> ProbMeasure:
-    """Exact law of the product of the most recent `depth` factors."""
+    """Exact law of the product of the most recent `depth` factors.
+
+    Stepped in integer numerators over one denominator; its weights become
+    Fractions only here, where `ProbMeasure` checks that they sum to one.
+    """
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    (law,) = deque(noise.product_laws(depth), maxlen=1)
+    law, den = deque(noise.product_laws(depth), maxlen=1).pop()
     element = noise.closure.element
-    return ProbMeasure.from_weights(noise.carrier, {element(i): w for i, w in law.items()})
+    return ProbMeasure.from_weights(
+        noise.carrier, {element(i): Fraction(n, den) for i, n in law.items()}
+    )
 
 
 def exact_state_law(

@@ -515,27 +515,29 @@ def strongness_witness(
         raise ValueError("depth must be at least 1")
     checkpoints = sorted({max(1, depth // 2), depth})
     results = []
-    law = dict(noise.atom_ids[0])
+    stages = noise.atom_numerators
+    law = stages[0]
     for l in range(1, depth + 1):
         if l > 1:
-            atoms = noise.atom_ids[min(l - 1, noise.prefix_length)]
-            if len(law) * len(atoms) > budget:
+            stage = stages[min(l - 1, noise.prefix_length)]
+            if len(law[0]) * len(stage[0]) > budget:
                 raise CapacityError(
                     f"product support would exceed the budget at depth {l}",
                     cap=budget,
                 )
-            law = noise.step(law, atoms)
+            law = noise.step(law, stage)
         if l in checkpoints:
             entry = family.law_at(-l)
             residual = Fraction(0)
-            for p, w in law.items():
+            nums, den = law
+            for p, n in nums.items():
                 image = noise.closure.element(p).image
                 cond: dict[int, Fraction] = {}
                 for x, wx in entry.atoms:
                     y = image[x]
                     cond[y] = cond.get(y, Fraction(0)) + wx
-                residual += w * (1 - max(cond.values()))
-            results.append((l, residual))
+                residual += n * (1 - max(cond.values()))
+            results.append((l, residual / den))
     final = results[-1][1]
     hint = final < Fraction(1, 1024) and final <= results[0][1]
     return WitnessReport(tuple(results), final, hint)

@@ -11,8 +11,10 @@ point below the prefix replaced, `state_window_reference`, which keeps the
 same push for state laws that the library's tail-cycle window replaced, and
 `generate_closure_reference`, which
 keeps the all-pairs closure loop that the library's Froidure-Pin enumeration
-replaced, and `right_invariance_reference`, which keeps the measure-level
-pushforward per subgroup element that the library's weight dicts replaced.
+replaced, `right_invariance_reference`, which keeps the measure-level
+pushforward per subgroup element that the library's weight dicts replaced,
+and `step_reference`, which keeps the Fraction step of closure ids that the
+library's integer numerators over one denominator replaced.
 """
 
 from __future__ import annotations
@@ -433,17 +435,32 @@ def absorption_time_reference(
 def exact_absorption_reference(noise, stages) -> tuple[Fraction | None, Fraction]:
     """(E[T], P(T = infinity)) from the fundamental matrix over every closure id.
 
-    `stages` are the `tsl.montecarlo._stages` of `noise`.  A closure id is
-    recurrent when every id it reaches reaches it back; the recurrent ids
-    that every tail factor fixes are the absorbing ones, and the other
-    recurrent ids are never left, so entering them means T = infinity.  The
-    other ids are transient, and the dense solves take it from there.
+    `stages` are the `tsl.montecarlo._stages` of `noise`.  The laws over the
+    prefix come from `stagewise_product_law` and each id's tail row from
+    composed images.  A closure id is recurrent when every id it reaches
+    reaches it back; the recurrent ids that every tail factor fixes are the
+    absorbing ones, and the other recurrent ids are never left, so entering
+    them means T = infinity.  The other ids are transient, and the dense
+    solves take it from there.
     """
-    *earlier, law = noise.product_laws(max(noise.prefix_length, 1))
+    prefix = [{e.image: w for e, w in m.atoms} for m in noise.prefix]
+    tail = {e.image: w for e, w in noise.tail.atoms}
+    images = [e.image for e in noise.closure.elements]
+    index = {s: i for i, s in enumerate(images)}
+    *earlier, law = [
+        {index[s]: w for s, w in stagewise_product_law(prefix, tail, t).items()}
+        for t in range(1, max(len(prefix), 1) + 1)
+    ]
     head = Fraction(0)
     for stage, seen in zip(stages, earlier):
         head += sum(w for i, w in seen.items() if i not in stage.absorbing)
-    out = noise.tail_rows(range(noise.closure.size))
+    out = []
+    for s in images:
+        row: dict[int, Fraction] = {}
+        for f, w in tail.items():
+            q = index[compose_images(s, f)]
+            row[q] = row.get(q, Fraction(0)) + w
+        out.append(row)
     reach = [set(row) for row in out]  # the ids reached in one step or more
     grew = True
     while grew:
@@ -462,6 +479,22 @@ def exact_absorption_reference(noise, stages) -> tuple[Fraction | None, Fraction
     if absorbed != 1:
         return None, 1 - absorbed
     return 1 + head + dense_expected_steps(rows, initial, transient), Fraction(0)
+
+
+def step_reference(noise, law: dict[int, Fraction], atoms) -> dict[int, Fraction]:
+    """The Fraction law after one more factor on the right, from (id, weight) `atoms`.
+
+    Each product is composed from the closure's element images and looked up
+    by image, and every weight is a Fraction.
+    """
+    images = [e.image for e in noise.closure.elements]
+    index = {s: i for i, s in enumerate(images)}
+    out: dict[int, Fraction] = {}
+    for p, w in law.items():
+        for f, wf in atoms:
+            q = index[compose_images(images[p], images[f])]
+            out[q] = out.get(q, Fraction(0)) + w * wf
+    return out
 
 
 def generate_closure_reference(space, generators, cap=None):

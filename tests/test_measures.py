@@ -387,10 +387,8 @@ def test_absorption_solves_transient_blocks_in_order_like_the_dense_reference(mo
     # blocks, each entered only from blocks solved before it
     tail = element_measure(StateSpace.of_size(4), {(1, 2, 3, 0): HALF, (0, 0, 2, 3): HALF})
     noise = NoiseSpec(tail)
-    start = dict(noise.atom_ids[-1])
-    ids, out = tail_chain(noise, start)
+    ids, out, initial = tail_chain(noise, noise.atom_numerators[-1])
     blocks = [c for c, closed in _strongly_connected_components(out) if not closed]
-    initial = [start.get(p, Fraction(0)) for p in ids]
     passes = count_calls(monkeypatch, tsl.measures, "_strongly_connected_components")
     classes, hits, transient, steps = absorption(out, initial)
     assert len(passes) == 1

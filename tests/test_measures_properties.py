@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -333,10 +334,13 @@ def test_tail_chain_from_the_law_after_the_prefix_matches_the_object_level_searc
         [images(m) for m in prefix], images(tail), max(len(prefix), 1)
     )
     index = noise.closure.element_index
-    ids, out = tail_chain(noise, {index[TransformationElement(s)]: w for s, w in start.items()})
-    states, rows, _ = product_chain_reference(images(tail), start)
+    den = lcm(*(w.denominator for w in start.values()))
+    law = {index[TransformationElement(s)]: int(w * den) for s, w in start.items()}
+    ids, out, initial = tail_chain(noise, (law, den))
+    states, rows, weights = product_chain_reference(images(tail), start)
     assert ids == [index[TransformationElement(s)] for s in states]
     assert out == rows
+    assert initial == weights
 
 
 @COMMON
@@ -349,8 +353,7 @@ def test_absorption_from_the_law_after_a_prefix_matches_the_dense_reference(batc
     _, (tail, *prefix), _ = batch
     noise = NoiseSpec(tail, tuple(prefix))
     *_, law = noise.product_laws(len(prefix))
-    ids, out = tail_chain(noise, law)
-    initial = [law.get(p, Fraction(0)) for p in ids]
+    ids, out, initial = tail_chain(noise, law)
     classes, hits, transient, steps = absorption(out, initial)
     assert classes == closed_classes(out)
     assert set(transient) == set(range(len(ids))) - {v for c in classes for v in c}

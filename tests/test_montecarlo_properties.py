@@ -5,21 +5,27 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
+from random import Random
 from statistics import median_high
 
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from tsl import (
+    CapacityError,
     NoiseSpec,
     ProbMeasure,
     SimConfig,
     SplitMix64,
+    StateSpace,
+    TransformationElement,
     coupling_samples,
+    element_carrier,
     estimate_law,
     exact_product_law,
     simulate_paths,
     state_carrier,
     stopping_time_stats,
+    strongness_witness,
     trial_stream,
 )
 from tsl.montecarlo import (
@@ -34,12 +40,15 @@ from tsl.montecarlo import (
 )
 from tsl.solver import Origin, SolutionLawFamily
 
+from helpers import element_measure
 from oracles import (
     backward_product_reference,
     exact_absorption_reference,
     pick_reference,
     splitmix64_reference,
     stagewise_product_law,
+    step_reference,
+    strongness_residuals_reference,
 )
 from test_measures_properties import COMMON, _absorption_case, measure_batch
 
@@ -402,3 +411,84 @@ def test_exact_product_law_matches_the_stagewise_reference(batch, depth):
     noise = NoiseSpec(tail, tuple(prefix))
     expected = stagewise_product_law([_images(m) for m in prefix], _images(tail), depth)
     assert _images(exact_product_law(noise, depth)) == expected
+
+
+RARE = Fraction(1, 10**60)
+RARE_CYCLE = NoiseSpec(
+    element_measure(StateSpace.of_size(3), {(1, 2, 0): 1 - RARE, (0, 0, 0): RARE}),
+    (
+        element_measure(StateSpace.of_size(3), {(1, 2, 0): "1/3", (0, 0, 0): "2/3"}),
+        element_measure(StateSpace.of_size(3), {(1, 2, 0): "3/7", (0, 0, 0): "4/7"}),
+    ),
+)
+
+
+@st.composite
+def mixed_denominator_noise(draw):
+    """(noise, depth): noise over 1-3 maps on 1-5 states with 0-3 prefix
+    stages, and a depth of 1-40.
+
+    Everything comes from a drawn seed: the maps, each stage's support and
+    its weights, all but the last over a denominator of its own, so stages
+    differ in denominator and a stage of three atoms mixes them; one stage
+    may carry a weight of 1/10^60.  Closures past 64 elements are rejected:
+    the absorption reference solves densely over every closure id.
+    """
+    rng = Random(draw(st.integers(0, 2**32)))
+    # five states and three maps more often: their laws have the most atoms
+    n = rng.choice((1, 2, 3, 4, 5, 5))
+    maps = [tuple(rng.randrange(n) for _ in range(n)) for _ in range(3)]
+    gens = sorted(set(map(TransformationElement, maps)))[: rng.choice((1, 2, 3, 3))]
+    stages = rng.randint(1, 4)
+    rare = rng.randint(0, stages)  # no 1/10^60 weight when it is `stages`
+    laws = []
+    for m in range(stages):
+        support = rng.sample(gens, rng.randint(1, len(gens)))
+        k = len(support)
+        # all but the last weight below 1/k, each over its own denominator
+        dens = rng.choices((2, 3, 5, 7, 11), k=k - 1)
+        weights = [Fraction(rng.randint(1, b - 1), b * k) for b in dens]
+        if m == rare and k > 1:
+            weights[0] = RARE
+        weights.append(1 - sum(weights))
+        laws.append(
+            ProbMeasure.from_weights(
+                element_carrier(StateSpace.of_size(n)), dict(zip(support, weights))
+            )
+        )
+    noise = NoiseSpec(laws[0], tuple(laws[1:]))
+    try:
+        assume(noise.closure.size <= 64)
+    except CapacityError:
+        assume(False)
+    return noise, rng.randint(1, 40)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(mixed_denominator_noise())
+# a cycle and a constant drawn with probability 10^-60, behind two prefix
+# stages over thirds and sevenths
+@example((RARE_CYCLE, 40))
+def test_integer_laws_equal_the_fraction_step_reference(problem):
+    noise, depth = problem
+    atoms = noise.atom_ids
+    expected = [dict(atoms[0])]
+    for t in range(1, depth):
+        expected.append(step_reference(noise, expected[-1], atoms[min(t, len(atoms) - 1)]))
+    laws = noise.product_laws(depth)
+    assert [{i: Fraction(n, den) for i, n in law.items()} for law, den in laws] == expected
+    element = noise.closure.element
+    assert exact_product_law(noise, depth) == ProbMeasure.from_weights(
+        noise.carrier, {element(i): w for i, w in expected[-1].items()}
+    )
+    ids, d = range(noise.closure.size), noise.atom_numerators[-1][1]
+    rows = [{q: Fraction(n, d) for q, n in row.items()} for row in noise.tail_rows(ids)]
+    assert rows == [step_reference(noise, {p: Fraction(1)}, atoms[-1]) for p in ids]
+    stages = _stages(noise)
+    assert _exact_absorption(noise, stages) == exact_absorption_reference(noise, stages)
+
+    entry = ProbMeasure.uniform(state_carrier(noise.space), range(noise.space.size))
+    family = SolutionLawFamily(((0, entry),), (entry,), Origin("extremal"))
+    assert strongness_witness(noise, family, depth=depth).depths == (
+        strongness_residuals_reference(noise, family, depth, 10**6)
+    )
