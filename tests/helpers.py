@@ -26,6 +26,14 @@ THREE = StateSpace.of_size(3)
 GEN_A = TransformationElement((1, 0, 1))
 GEN_B = TransformationElement((2, 2, 0))
 
+# generators of the full transformation monoid on six states (46,656 maps)
+SIX = StateSpace.of_size(6)
+FULL_SIX_GENERATORS = [
+    TransformationElement((1, 2, 3, 4, 5, 0)),
+    TransformationElement((1, 0, 2, 3, 4, 5)),
+    TransformationElement((0, 0, 2, 3, 4, 5)),
+]
+
 # the full closure of {GEN_A, GEN_B}, in generated order
 CLOSURE_IMAGES = (
     (1, 0, 1),

@@ -176,6 +176,44 @@ def kernel_classes_reference(tail: list[tuple[int, ...]]) -> set[frozenset]:
     return {frozenset(g) for g in groups.values()}
 
 
+def cesaro_reference(tail: dict[tuple[int, ...], Fraction]) -> dict[tuple[int, ...], Fraction]:
+    """The Cesaro limit of the running products under `tail`, by image.
+
+    Each closed class of the reference chain, `kernel_classes_reference`,
+    carries its dense stationary law, weighted by the chance that the chain
+    from the first factor enters it.
+    """
+    states, rows, initial = product_chain_reference(tail)
+    at = {s: i for i, s in enumerate(states)}
+    dense = [[row.get(j, Fraction(0)) for j in range(len(states))] for row in rows]
+    classes = [sorted(at[s] for s in c) for c in kernel_classes_reference(list(tail))]
+    recurrent = {v for c in classes for v in c}
+    transient = [v for v in range(len(states)) if v not in recurrent]
+    law = {}
+    for members, hit in zip(classes, dense_absorption(dense, initial, transient, classes)):
+        for v, w in zip(members, dense_stationary(dense, members)):
+            law[states[v]] = hit * w
+    return law
+
+
+def absorbing_reference(
+    prefix: list[dict[tuple[int, ...], Fraction]],
+    tail: dict[tuple[int, ...], Fraction],
+    images: list[tuple[int, ...]],
+) -> list[set[int]]:
+    """For each stage m = 0..len(prefix), the positions in `images` that every
+    factor after stage m fixes on the right.
+
+    The factors after stage m are the atoms of prefix[m + 1:] and of the
+    tail; the last stage is the tail's, after which only tail factors come.
+    """
+    out = []
+    for m in range(len(prefix) + 1):
+        later = set(tail).union(*prefix[m + 1 :])
+        out.append({i for i, s in enumerate(images) if all(compose_images(s, f) == s for f in later)})
+    return out
+
+
 def strongness_residuals_reference(noise, family, depth: int, budget: int):
     """The (depth, residual) checkpoints of a strongness witness, by `convolve`.
 
@@ -430,55 +468,6 @@ def absorption_time_reference(
         return None, 1 - absorbed
     after = sum((w * wait[at[s]] for s, w in law.items() if s in at), Fraction(0))
     return 1 + before + after, Fraction(0)
-
-
-def exact_absorption_reference(noise, stages) -> tuple[Fraction | None, Fraction]:
-    """(E[T], P(T = infinity)) from the fundamental matrix over every closure id.
-
-    `stages` are the `tsl.montecarlo._stages` of `noise`.  The laws over the
-    prefix come from `stagewise_product_law` and each id's tail row from
-    composed images.  A closure id is recurrent when every id it reaches
-    reaches it back; the recurrent ids that every tail factor fixes are the
-    absorbing ones, and the other recurrent ids are never left, so entering
-    them means T = infinity.  The other ids are transient, and the dense
-    solves take it from there.
-    """
-    prefix = [{e.image: w for e, w in m.atoms} for m in noise.prefix]
-    tail = {e.image: w for e, w in noise.tail.atoms}
-    images = [e.image for e in noise.closure.elements]
-    index = {s: i for i, s in enumerate(images)}
-    *earlier, law = [
-        {index[s]: w for s, w in stagewise_product_law(prefix, tail, t).items()}
-        for t in range(1, max(len(prefix), 1) + 1)
-    ]
-    head = Fraction(0)
-    for stage, seen in zip(stages, earlier):
-        head += sum(w for i, w in seen.items() if i not in stage.absorbing)
-    out = []
-    for s in images:
-        row: dict[int, Fraction] = {}
-        for f, w in tail.items():
-            q = index[compose_images(s, f)]
-            row[q] = row.get(q, Fraction(0)) + w
-        out.append(row)
-    reach = [set(row) for row in out]  # the ids reached in one step or more
-    grew = True
-    while grew:
-        grew = False
-        for v, seen in enumerate(reach):
-            more = set().union(*(reach[t] for t in seen)) - seen
-            if more:
-                seen |= more
-                grew = True
-    recurrent = {v for v, seen in enumerate(reach) if all(v in reach[t] for t in seen)}
-    absorbing = {v for v, row in enumerate(out) if row == {v: 1}}
-    transient = [v for v in range(len(out)) if v not in recurrent]
-    rows = [[row.get(t, Fraction(0)) for t in range(len(out))] for row in out]
-    initial = [law.get(v, Fraction(0)) for v in range(len(out))]
-    (absorbed,) = dense_absorption(rows, initial, transient, [sorted(absorbing)])
-    if absorbed != 1:
-        return None, 1 - absorbed
-    return 1 + head + dense_expected_steps(rows, initial, transient), Fraction(0)
 
 
 def step_reference(noise, law: dict[int, Fraction], atoms) -> dict[int, Fraction]:

@@ -29,7 +29,16 @@ from tsl import (
 
 import tsl.algebra
 
-from helpers import CLOSURE_IMAGES, GEN_A, GEN_B, THREE, count_calls, product_table
+from helpers import (
+    CLOSURE_IMAGES,
+    FULL_SIX_GENERATORS,
+    GEN_A,
+    GEN_B,
+    SIX,
+    THREE,
+    count_calls,
+    product_table,
+)
 from oracles import compose_images
 
 
@@ -103,15 +112,6 @@ def test_full_monoid_is_generated_by_at_most_three_maps(n):
         tuple(sg.element_index[compose(a, b)] for b in sg.elements)
         for a in sg.elements
     )
-
-
-# generators of the full transformation monoid on six states (46,656 maps)
-SIX = StateSpace.of_size(6)
-FULL_SIX_GENERATORS = [
-    TransformationElement((1, 2, 3, 4, 5, 0)),
-    TransformationElement((1, 0, 2, 3, 4, 5)),
-    TransformationElement((0, 0, 2, 3, 4, 5)),
-]
 
 
 def test_generate_closure_capacity_guard():

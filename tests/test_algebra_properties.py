@@ -6,7 +6,7 @@ import itertools
 from math import comb
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, strategies as st
 
 import tsl.algebra
 
@@ -33,8 +33,6 @@ from tsl import (
 from helpers import count_calls, product_table
 from oracles import compose_images, generate_closure_reference, subgroups_reference
 
-COMMON = settings(max_examples=120, derandomize=True, deadline=None)
-
 
 @st.composite
 def element_tuple(draw, count: int, min_size: int = 2, max_size: int = 4):
@@ -57,21 +55,18 @@ def generator_sets(draw, size: int = 4, max_gens: int = 3):
     return StateSpace.of_size(n), gens
 
 
-@COMMON
 @given(element_tuple(3))
 def test_compose_is_associative(data):
     _, (a, b, c) = data
     assert compose(compose(a, b), c) == compose(a, compose(b, c))
 
 
-@COMMON
 @given(element_tuple(2))
 def test_compose_matches_pointwise_oracle(data):
     _, (a, b) = data
     assert compose(a, b).image == compose_images(a.image, b.image)
 
 
-@COMMON
 @given(element_tuple(1))
 def test_identity_is_two_sided_neutral(data):
     space, (a,) = data
@@ -80,7 +75,6 @@ def test_identity_is_two_sided_neutral(data):
     assert compose(a, e) == a
 
 
-@COMMON
 @given(element_tuple(2))
 def test_constants_absorb_composition_on_the_left(data):
     space, (a, _) = data
@@ -89,7 +83,6 @@ def test_constants_absorb_composition_on_the_left(data):
         assert compose(c, a) == c
 
 
-@COMMON
 @given(generator_sets(size=3))
 def test_closure_table_matches_composition(data):
     space, gens = data
@@ -130,7 +123,6 @@ def library_closure(space, gens, cap):
     return sg.elements, product_table(sg), sg.generators
 
 
-@COMMON
 @given(capped_generator_lists())
 def test_closure_matches_the_all_pairs_reference(data):
     assert closure_outcome(library_closure, *data) == closure_outcome(
@@ -138,7 +130,6 @@ def test_closure_matches_the_all_pairs_reference(data):
     )
 
 
-@COMMON
 @given(generator_sets(size=4))
 def test_core_orbit_equals_power_orbit_intersection(data):
     # the two descriptions of the eventual range coincide on every closure
@@ -147,7 +138,6 @@ def test_core_orbit_equals_power_orbit_intersection(data):
     assert core_orbit(sg) == power_orbit_intersection(sg)
 
 
-@COMMON
 @given(generator_sets(size=4))
 def test_power_core_is_right_absorbing(data):
     space, gens = data
@@ -158,7 +148,6 @@ def test_power_core_is_right_absorbing(data):
     assert stepped == core
 
 
-@COMMON
 @given(generator_sets(size=4))
 def test_power_sets_multiply_factor_counts(data):
     space, gens = data
@@ -174,7 +163,6 @@ def test_power_sets_multiply_factor_counts(data):
     assert all(powers[m] > powers[m + 1] for m in range(len(powers) - 1))
 
 
-@COMMON
 @given(generator_sets(size=4))
 def test_classification_matches_image_shape(data):
     space, gens = data
@@ -190,7 +178,6 @@ def test_classification_matches_image_shape(data):
             assert kinds.collapse_target[i] == img[0]
 
 
-@COMMON
 @given(generator_sets(size=3))
 def test_left_cancellative_agrees_with_table_scan(data):
     space, gens = data
@@ -202,7 +189,6 @@ def test_left_cancellative_agrees_with_table_scan(data):
     assert is_left_cancellative(sg) == brute
 
 
-@COMMON
 @given(generator_sets())
 def test_cancellative_and_injective_iff_every_generator_is_a_permutation(data):
     # classify's strongness branch tests only the generators
@@ -212,7 +198,6 @@ def test_cancellative_and_injective_iff_every_generator_is_a_permutation(data):
     assert general == all(g.is_injective() for g in gens)
 
 
-@COMMON
 @given(generator_sets(size=3, max_gens=2))
 def test_found_subgroups_satisfy_group_axioms(data):
     space, gens = data
@@ -228,7 +213,6 @@ def test_found_subgroups_satisfy_group_axioms(data):
         assert (e,) in seen
 
 
-@COMMON
 @given(generator_sets(size=3, max_gens=2), st.integers(1, 2))
 def test_found_subgroups_are_sorted_by_order_then_members(data, max_gen):
     # limit_analysis takes the first qualifying subgroup as the smallest
@@ -238,7 +222,6 @@ def test_found_subgroups_are_sorted_by_order_then_members(data, max_gen):
     assert keys == sorted(keys)
 
 
-@COMMON
 @given(
     st.one_of(
         generator_sets(size=3, max_gens=2).map(lambda data: generate_closure(*data)),
@@ -310,7 +293,6 @@ def test_subgroup_search_prunes_nothing_on_a_cyclic_group(monkeypatch, n):
     assert found == subgroups_reference(sg.elements, 2)
 
 
-@COMMON
 @given(st.integers(2, 10), st.data())
 def test_cyclic_coset_factorization(n, data):
     sg = cyclic_group_context(n).ambient_semigroup()

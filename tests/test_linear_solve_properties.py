@@ -5,14 +5,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from tsl.errors import InternalInconsistencyError
 from tsl.linear import _check_substitution, solve_linear
 
 from oracles import dense_solve
-
-COMMON = settings(max_examples=120, derandomize=True, deadline=None)
 
 ENTRY = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -41,7 +39,6 @@ def dense(n: int, rows: list[dict[int, Fraction]]) -> list[list[Fraction]]:
     return [[row.get(c, Fraction(0)) for c in range(n)] for row in rows]
 
 
-@COMMON
 @given(sparse_system())
 def test_sparse_solve_equals_the_dense_reference(system):
     n, rows, rhs = system
@@ -54,7 +51,6 @@ def test_sparse_solve_equals_the_dense_reference(system):
     assert solve_linear(rows, rhs) == expected
 
 
-@COMMON
 @given(sparse_system(), st.data())
 def test_an_empty_column_is_singular(system, data):
     n, rows, rhs = system
@@ -64,7 +60,6 @@ def test_an_empty_column_is_singular(system, data):
         solve_linear(rows, rhs)
 
 
-@COMMON
 @given(sparse_system(min_size=2), st.data())
 def test_two_equal_rows_are_singular(system, data):
     n, rows, rhs = system

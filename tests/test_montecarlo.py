@@ -33,6 +33,8 @@ from tsl import (
 import tsl.measures
 
 from helpers import (
+    FULL_SIX_GENERATORS,
+    SIX,
     THREE,
     count_calls,
     cyclic_noise,
@@ -48,7 +50,6 @@ from oracles import (
     three_state_absorption_tail,
     three_state_expected_absorption,
 )
-from test_algebra import FULL_SIX_GENERATORS, SIX
 
 HALF = Fraction(1, 2)
 

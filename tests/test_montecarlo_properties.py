@@ -1,37 +1,28 @@
-"""Randomized checks of the Monte Carlo trial kernel, the trial tally and the
-exact laws against the definitions."""
+"""Randomized checks of the Monte Carlo trial kernel and the trial tally
+against the full-draw reference."""
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from random import Random
 from statistics import median_high
 
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from tsl import (
-    CapacityError,
-    NoiseSpec,
     ProbMeasure,
     SimConfig,
     SplitMix64,
-    StateSpace,
-    TransformationElement,
     coupling_samples,
-    element_carrier,
     estimate_law,
-    exact_product_law,
     simulate_paths,
     state_carrier,
     stopping_time_stats,
-    strongness_witness,
     trial_stream,
 )
 from tsl.montecarlo import (
     GAMMA,
     _BLOCK,
-    _exact_absorption,
     _jump,
     _skip_to_window_end,
     _stages,
@@ -40,47 +31,37 @@ from tsl.montecarlo import (
 )
 from tsl.solver import Origin, SolutionLawFamily
 
-from helpers import element_measure
-from oracles import (
-    backward_product_reference,
-    exact_absorption_reference,
-    pick_reference,
-    splitmix64_reference,
-    stagewise_product_law,
-    step_reference,
-    strongness_residuals_reference,
-)
-from test_measures_properties import COMMON, _absorption_case, measure_batch
+from oracles import backward_product_reference, pick_reference, splitmix64_reference
+from problems import problem, problems, schedule
 
 TRIALS = 6
 MASK = (1 << 64) - 1
+BLOCK_EDGES = 2 * _BLOCK + 3
 
-noises = st.integers(1, 3).flatmap(
-    lambda count: measure_batch(count, state_count=1, max_states=3)
-)
-depths = st.integers(1, 10)
-seeds = st.integers(0, (1 << 64) - 1)
+seeds = st.integers(0, MASK)
 # three maps on four states at 1/3 each: a 62-product closure, so 64 product
 # rows (with "no factor yet" and "done") times 4 codes (3 guide atoms and the
 # split marker) is exactly the 256 that byte lanes allow
-AT_BYTE_LIMIT = _absorption_case(
-    4, {(1, 0, 1, 3): "1/3", (2, 1, 3, 1): "1/3", (2, 1, 0, 2): "1/3"}
-)
+AT_BYTE_LIMIT = problem("space 4; gen a = 2 1 2 4; gen b = 3 2 4 2; gen c = 3 2 1 3; noise iid a:1/3 b:1/3 c:1/3")
+# a 1/3, 2/3 tail absorbing into the constants, split at bucket 0x55, behind
+# a mixed prefix stage and a point mass that can absorb: about half the lanes
+# retire at the point mass, the rest at later tail factors
+ABSORBING = problem("space 3; gen a = 1 2 2; gen c = 2 3 1; gen k = 1 1 2; noise iid a:1/3 c:2/3; noise at 0 k:1/2 c:1/2; noise at -1 k:1")
+# T4's generators at 1/3 each: 256 products, absorbing into the constants;
+# 258 rows are past the byte limit, so each lane steps alone
+T4 = problem("space 4; gen t = 2 1 3 4; gen c = 2 3 4 1; gen m = 1 1 3 4; noise iid t:1/3 c:1/3 m:1/3")
 
 
-def _images(m: ProbMeasure) -> dict:
-    return {e.image: w for e, w in m.atoms}
+def _skewed_entry(noise) -> ProbMeasure:
+    return ProbMeasure.from_weights(
+        state_carrier(noise.space), {0: Fraction(1, 2), 1: Fraction(1, 4), 2: Fraction(1, 4)}
+    )
 
 
-def _entry(space, states) -> ProbMeasure:
-    return states[0] if states else ProbMeasure.point(state_carrier(space), 0)
-
-
-def _check_trials(noise, batch, entry, cfg) -> list:
+def _check_trials(noise, entry, cfg) -> list:
     """Each trial of the kernel, the coupling and the state observable against
     the full-draw reference; returns (product, first entry) per trial."""
-    _, (tail, *prefix), _ = batch
-    prefix_images, tail_images = [_images(m) for m in prefix], _images(tail)
+    prefix_images, tail_images = schedule(noise)
     depth, seed = cfg.depth, cfg.seed
     family = SolutionLawFamily(((0, entry),), (entry,), Origin("extremal"))
     couplings = list(coupling_samples(noise, family, family, cfg))
@@ -115,29 +96,26 @@ def _check_trials(noise, batch, entry, cfg) -> list:
     return seen
 
 
-@COMMON
-@given(noises, depths, seeds)
+@given(problems(), seeds)
 # a first factor that the tail fixes but the next prefix factor does not
-@example(_absorption_case(2, {(0, 1): 1}, {(1, 0): 1}, {(0, 0): "1/2", (1, 1): "1/2"}), 3, 1)
+@example(problem("space 2; gen e = 1 2; gen s = 2 1; gen z = 1 1; gen o = 2 2; noise iid e:1; noise at 0 s:1; noise at -1 z:1/2 o:1/2", depth=3), 1)
 # a four-product closed class that the prefix steers around
-@example(_absorption_case(3, {(2, 1, 2): "1/2", (2, 2, 1): "1/2"}, {(2, 1, 1): 1}), 6, 1)
+@example(problem("space 3; gen a = 3 2 3; gen b = 3 3 2; gen c = 3 2 2; noise iid a:1/2 b:1/2; noise at 0 c:1", depth=6), 1)
 # a permutation walk: nothing is ever absorbed, every factor is drawn
-@example(_absorption_case(3, {(1, 0, 2): 1}), 5, 2)
+@example(problem("space 3; gen s = 2 1 3; noise iid s:1", depth=5), 2)
 # a 1/3, 2/3 tail: trial 0's first draw, 0x5568..., has top byte 0x55, the
 # bucket that the breakpoint ceil(2^64 / 3) = 0x5555...56 splits
-@example(_absorption_case(2, {(0, 1): "1/3", (1, 0): "2/3"}), 3, 105)
+@example(problem("space 2; gen e = 1 2; gen s = 2 1; noise iid e:1/3 s:2/3", depth=3), 105)
 # a mixed prefix, then a point-mass tail whose draws are never mixed: the
 # stream must still move by GAMMA for each of them
-@example(_absorption_case(3, {(1, 2, 0): 1}, {(0, 1, 2): "1/3", (1, 2, 0): "2/3"}), 6, 3)
-def test_trial_kernel_matches_the_full_draw_reference(batch, depth, seed):
-    space, (tail, *prefix), states = batch
-    noise = NoiseSpec(tail, tuple(prefix))
-    entry = _entry(space, states)
-    seen = _check_trials(noise, batch, entry, SimConfig(depth, TRIALS, seed))
+@example(problem("space 3; gen c = 2 3 1; gen e = 1 2 3; noise iid c:1; noise at 0 e:1/3 c:2/3", depth=6), 3)
+def test_trial_kernel_matches_the_full_draw_reference(p, seed):
+    noise, entry = p.noise, p.entry
+    seen = _check_trials(noise, entry, SimConfig(p.depth, TRIALS, seed))
     for trial, (product, x1) in enumerate(seen):
         # the state observable, run on this trial's stream alone: trial t
         # under seed s reads the stream of trial 0 under seed s + t * GAMMA
-        alone = SimConfig(depth, 1, (seed + trial * GAMMA) & MASK)
+        alone = SimConfig(p.depth, 1, (seed + trial * GAMMA) & MASK)
         state_law = estimate_law(noise, alone, "state", entry)
         assert state_law.count(product[x1]) == 1
 
@@ -147,102 +125,67 @@ def test_trial_blocks_match_the_full_draw_reference_across_block_edges():
     # different point masses: nothing absorbs, so every lane draws every
     # factor, and the breakpoint ceil(2^64 / 3) splits bucket 0x55, which
     # some lanes of every block hit
-    batch = _absorption_case(
-        3,
-        {(1, 0, 2): "1/3", (1, 2, 0): "2/3"},
-        {(0, 2, 1): "1/3", (2, 0, 1): "2/3"},
-        {(2, 0, 1): 1},
-        {(0, 2, 1): 1},
-    )
-    space, (tail, *prefix), _ = batch
-    noise = NoiseSpec(tail, tuple(prefix))
-    entry = ProbMeasure.from_weights(
-        state_carrier(space), {0: Fraction(1, 2), 1: Fraction(1, 4), 2: Fraction(1, 4)}
-    )
-    trials = 2 * _BLOCK + 3
+    noise = problem(
+        "space 3; gen s = 2 1 3; gen c = 2 3 1; gen t = 1 3 2; gen r = 3 1 2;"
+        "noise iid s:1/3 c:2/3; noise at 0 t:1/3 r:2/3; noise at -1 r:1; noise at -2 t:1"
+    ).noise
     for depth in (1, 7):
         for seed in (1, MASK):
-            _check_trials(noise, batch, entry, SimConfig(depth, trials, seed))
+            _check_trials(noise, _skewed_entry(noise), SimConfig(depth, BLOCK_EDGES, seed))
 
 
 def test_absorbing_trial_blocks_match_the_full_draw_reference_across_block_edges():
-    cases = [
-        # a 1/3, 2/3 tail that absorbs into the constants, split at bucket
-        # 0x55, behind a mixed prefix stage and a point mass that can absorb:
-        # about half the lanes retire at the point mass, the rest at later
-        # tail factors, so every block repacks its int
-        _absorption_case(
-            3,
-            {(0, 1, 1): "1/3", (1, 2, 0): "2/3"},
-            {(0, 0, 1): "1/2", (1, 2, 0): "1/2"},
-            {(0, 0, 1): 1},
-        ),
-        # a constant tail: every lane retires at the first factor
-        _absorption_case(3, {(0, 0, 0): 1}),
-    ]
-    trials = 2 * _BLOCK + 3
-    for batch in cases:
-        space, (tail, *prefix), _ = batch
-        noise = NoiseSpec(tail, tuple(prefix))
-        entry = ProbMeasure.from_weights(
-            state_carrier(space), {0: Fraction(1, 2), 1: Fraction(1, 4), 2: Fraction(1, 4)}
-        )
+    # every block repacks its int as lanes retire; under a constant tail
+    # every lane retires at the first factor
+    for p in (ABSORBING, problem("space 3; gen z = 1 1 1; noise iid z:1")):
         for depth in (1, 7, 64):
             for seed in (1, MASK):
-                _check_trials(noise, batch, entry, SimConfig(depth, trials, seed))
+                _check_trials(p.noise, _skewed_entry(p.noise), SimConfig(depth, BLOCK_EDGES, seed))
 
 
 def test_trial_blocks_match_the_full_draw_reference_at_and_past_the_byte_limit():
     cases = [
-        # T4's generators at 1/3 each: 256 products, absorbing into the
-        # constants; 258 rows are past the byte limit, so each lane steps alone
-        (_absorption_case(4, {(1, 0, 2, 3): "1/3", (1, 2, 3, 0): "1/3", (0, 0, 2, 3): "1/3"}), False),
+        (T4, False),
         # S5 at 1/3, 2/3: 120 products that never absorb, 122 rows x 3 codes
         # past the limit, and the breakpoint ceil(2^64 / 3) splits bucket 0x55
-        (_absorption_case(5, {(1, 0, 2, 3, 4): "1/3", (1, 2, 3, 4, 0): "2/3"}), False),
+        (problem("space 5; gen t = 2 1 3 4 5; gen c = 2 3 4 5 1; noise iid t:1/3 c:2/3"), False),
         # exactly at the limit: byte lanes; lanes retire from the first
         # factors on, about half of them by factor 14, so at depth 64 every
         # block repacks
         (AT_BYTE_LIMIT, True),
     ]
-    trials = 2 * _BLOCK + 3
-    for batch, byte in cases:
-        space, (tail, *prefix), _ = batch
-        noise = NoiseSpec(tail, tuple(prefix))
+    for p, byte in cases:
+        noise = p.noise
         assert _tables(noise, _stages(noise))[0] is byte
-        entry = ProbMeasure.from_weights(
-            state_carrier(space), {0: Fraction(1, 2), 1: Fraction(1, 4), 2: Fraction(1, 4)}
-        )
         for depth in (1, 7, 64):
             for seed in (1, MASK):
-                _check_trials(noise, batch, entry, SimConfig(depth, trials, seed))
+                _check_trials(noise, _skewed_entry(noise), SimConfig(depth, BLOCK_EDGES, seed))
 
 
-@COMMON
-@given(noises)
+@given(problems())
 @example(AT_BYTE_LIMIT)
-def test_byte_step_tables_match_the_right_cayley_graph(batch):
-    _, (tail, *prefix), _ = batch
-    noise = NoiseSpec(tail, tuple(prefix))
+def test_byte_step_tables_match_the_right_cayley_graph(p):
+    noise = p.noise
     closure, stages = noise.closure, _stages(noise)
     byte, _, tables = _tables(noise, stages)
-    # at most 3 states and 4 atoms a stage: 29 rows x 5 codes fit in a byte
-    assert byte
+    # past the byte limit (63 or 64 products and a stage of three atoms) the
+    # per-lane tables take over, which the block tests above cover
+    assume(byte)
     start, done = closure.size, closure.size + 1
     for stage in stages:
         move, guide, codes, absorbing = tables[id(stage)]
         if stage.absorbing:
-            assert [absorbing[p] for p in range(done + 1)] == [
-                p in stage.absorbing for p in range(done + 1)
+            assert [absorbing[q] for q in range(done + 1)] == [
+                q in stage.absorbing for q in range(done + 1)
             ]
         if stage.guide is None:
             (f,) = stage.ids
-            assert [move[p] for p in range(start)] == [row[f] for row in closure.right]
+            assert [move[q] for q in range(start)] == [row[f] for row in closure.right]
             assert (move[start], move[done]) == (f, done)
             continue
         assert codes == len(set(stage.guide) - {-1}) + 1
         for b, f in enumerate(stage.guide):
-            step = [move[p * codes + guide[b]] for p in range(done + 1)]
+            step = [move[q * codes + guide[b]] for q in range(done + 1)]
             # the done row stays done; a split bucket gives the marker, 255
             assert step[done] == done
             if f == -1:
@@ -255,18 +198,11 @@ def test_each_trial_stream_is_made_once_and_moves_one_gamma_per_draw(monkeypatch
     # the contract that the benchmark's tracer reads draws from: it wraps
     # `trial_stream` and counts each stream's state difference in GAMMAs
     cases = [
-        # a 1/3, 2/3 tail absorbing into the constants behind a mixed stage
-        # and a point mass that can absorb
-        _absorption_case(
-            3,
-            {(0, 1, 1): "1/3", (1, 2, 0): "2/3"},
-            {(0, 0, 1): "1/2", (1, 2, 0): "1/2"},
-            {(0, 0, 1): 1},
-        ),
+        ABSORBING,
         # a group tail behind a run of point masses: nothing absorbs
-        _absorption_case(3, {(1, 0, 2): "1/3", (1, 2, 0): "2/3"}, {(2, 0, 1): 1}, {(0, 2, 1): 1}),
+        problem("space 3; gen s = 2 1 3; gen c = 2 3 1; gen r = 3 1 2; gen t = 1 3 2; noise iid s:1/3 c:2/3; noise at 0 r:1; noise at -1 t:1"),
         # T4 past the byte limit
-        _absorption_case(4, {(1, 0, 2, 3): "1/3", (1, 2, 3, 0): "1/3", (0, 0, 2, 3): "1/3"}),
+        T4,
     ]
     made = []
 
@@ -276,15 +212,12 @@ def test_each_trial_stream_is_made_once_and_moves_one_gamma_per_draw(monkeypatch
         return rng
 
     monkeypatch.setattr("tsl.montecarlo.trial_stream", recording)
-    trials = 2 * _BLOCK + 3
-    for batch in cases:
-        _, (tail, *prefix), _ = batch
-        noise = NoiseSpec(tail, tuple(prefix))
-        prefix_images, tail_images = [_images(m) for m in prefix], _images(tail)
+    for p in cases:
+        prefix_images, tail_images = schedule(p.noise)
         for depth in (1, 7, 64):
             made.clear()
-            stats = stopping_time_stats(noise, SimConfig(depth, trials, MASK))
-            assert sorted(trial for _, trial, _, _ in made) == list(range(trials))
+            stats = stopping_time_stats(p.noise, SimConfig(depth, BLOCK_EDGES, MASK))
+            assert sorted(trial for _, trial, _, _ in made) == list(range(BLOCK_EDGES))
             absorbed = 0
             for seed, trial, rng, start in made:
                 assert seed == MASK
@@ -297,28 +230,24 @@ def test_each_trial_stream_is_made_once_and_moves_one_gamma_per_draw(monkeypatch
             assert stats.absorbed == absorbed
 
 
-@COMMON
-@given(noises)
-def test_jump_maps_equal_single_steps(batch):
-    _, (tail, *prefix), _ = batch
-    closure = NoiseSpec(tail, tuple(prefix)).closure
+@given(problems())
+def test_jump_maps_equal_single_steps(p):
+    closure = p.noise.closure
     # the closure's rows, then the "no factor yet" row
     table = (*closure.right, closure.generators)
     for atom in range(len(closure.generators)):
         walk = list(range(len(table)))
         for k in range(1, 4001):
-            walk = [table[p][atom] for p in walk]
+            walk = [table[q][atom] for q in walk]
             if k <= 70 or k == 4000:
                 assert _jump(table, atom, k) == walk
 
 
-@COMMON
-@given(noises)
-@example(_absorption_case(2, {(0, 1): "1/3", (1, 0): "2/3"}))
-@example(_absorption_case(2, {(1, 0): 1}, {(0, 0): "1/4", (1, 1): "3/4"}))
-def test_stage_guides_agree_with_the_pick_reference(batch):
-    _, (tail, *prefix), _ = batch
-    noise = NoiseSpec(tail, tuple(prefix))
+@given(problems())
+@example(problem("space 2; gen e = 1 2; gen s = 2 1; noise iid e:1/3 s:2/3"))
+@example(problem("space 2; gen s = 2 1; gen z = 1 1; gen o = 2 2; noise iid s:1; noise at 0 z:1/4 o:3/4"))
+def test_stage_guides_agree_with_the_pick_reference(p):
+    noise = p.noise
     for stage, atoms in zip(_stages(noise), noise.atom_ids):
         weights = dict(atoms)
         if len(weights) == 1:
@@ -340,30 +269,26 @@ def test_stage_guides_agree_with_the_pick_reference(batch):
         assert [b for b, f in enumerate(stage.guide) if f == -1] == sorted(split)
 
 
-@COMMON
-@given(noises, depths, seeds)
-@example(_absorption_case(2, {(1, 0): 1}, {(1, 0): "3/4", (0, 0): "1/4"}, {(0, 1): 1}), 4, 3)
-def test_paths_and_kernel_share_one_absorption_time(batch, depth, seed):
-    _, (tail, *prefix), _ = batch
-    noise = NoiseSpec(tail, tuple(prefix))
-    cfg = SimConfig(depth, TRIALS, seed)
+@given(problems(), seeds)
+@example(problem("space 2; gen s = 2 1; gen z = 1 1; gen e = 1 2; noise iid s:1; noise at 0 s:3/4 z:1/4; noise at -1 e:1", depth=4), 3)
+def test_paths_and_kernel_share_one_absorption_time(p, seed):
+    noise = p.noise
+    cfg = SimConfig(p.depth, TRIALS, seed)
     runs = _trial_kernel(noise, _stages(noise), cfg)
     for sample, (_, pid, absorbed_at) in zip(simulate_paths(noise, cfg), runs, strict=True):
         assert sample.absorbed_at == absorbed_at
         assert sample.products[-1] == noise.closure.elements[pid]
 
 
-@COMMON
-@given(noises, depths, seeds)
-@example(_absorption_case(2, {(0, 1): 1}, {(1, 0): 1}, {(0, 0): "1/2", (1, 1): "1/2"}), 3, 1)
-@example(_absorption_case(3, {(1, 0, 2): 1}), 5, 2)
-def test_tally_matches_the_full_draw_reference(batch, depth, seed):
-    _, (tail, *prefix), _ = batch
-    noise = NoiseSpec(tail, tuple(prefix))
+@given(problems(), seeds)
+@example(problem("space 2; gen e = 1 2; gen s = 2 1; gen z = 1 1; gen o = 2 2; noise iid e:1; noise at 0 s:1; noise at -1 z:1/2 o:1/2", depth=3), 1)
+@example(problem("space 3; gen s = 2 1 3; noise iid s:1", depth=5), 2)
+def test_tally_matches_the_full_draw_reference(p, seed):
+    noise, depth = p.noise, p.depth
     cfg = SimConfig(depth, TRIALS, seed)
     stats = stopping_time_stats(noise, cfg)
     assert stats.products == estimate_law(noise, cfg)
-    prefix_images, tail_images = [_images(m) for m in prefix], _images(tail)
+    prefix_images, tail_images = schedule(noise)
     counts: dict = {}
     times = []
     for trial in range(TRIALS):
@@ -380,115 +305,3 @@ def test_tally_matches_the_full_draw_reference(batch, depth, seed):
         assert stats.median == median_high(times)
     else:
         assert stats.empirical_mean is stats.median is None
-
-
-@COMMON
-@given(st.integers(1, 3).flatmap(lambda count: measure_batch(count, max_states=3)))
-# a group tail behind a prefix that reaches 3 of the 27 closure ids
-@example(
-    _absorption_case(
-        3,
-        {(1, 0, 2): "1/2", (0, 2, 1): "1/2"},
-        {(0, 0, 1): 1},
-        {(1, 0, 2): "1/2", (0, 2, 1): "1/2"},
-        {(0, 2, 1): 1},
-    )
-)
-# a swap class entered with probability 3/4, and an absorbing tail
-@example(_absorption_case(2, {(1, 0): 1}, {(1, 0): "3/4", (0, 0): "1/4"}, {(0, 1): 1}))
-@example(_absorption_case(2, {(0, 0): "1/2", (1, 0): "1/2"}))
-def test_exact_absorption_matches_the_all_ids_reference(batch):
-    _, (tail, *prefix), _ = batch
-    noise = NoiseSpec(tail, tuple(prefix))
-    stages = _stages(noise)
-    assert _exact_absorption(noise, stages) == exact_absorption_reference(noise, stages)
-
-
-@COMMON
-@given(noises, depths)
-def test_exact_product_law_matches_the_stagewise_reference(batch, depth):
-    _, (tail, *prefix), _ = batch
-    noise = NoiseSpec(tail, tuple(prefix))
-    expected = stagewise_product_law([_images(m) for m in prefix], _images(tail), depth)
-    assert _images(exact_product_law(noise, depth)) == expected
-
-
-RARE = Fraction(1, 10**60)
-RARE_CYCLE = NoiseSpec(
-    element_measure(StateSpace.of_size(3), {(1, 2, 0): 1 - RARE, (0, 0, 0): RARE}),
-    (
-        element_measure(StateSpace.of_size(3), {(1, 2, 0): "1/3", (0, 0, 0): "2/3"}),
-        element_measure(StateSpace.of_size(3), {(1, 2, 0): "3/7", (0, 0, 0): "4/7"}),
-    ),
-)
-
-
-@st.composite
-def mixed_denominator_noise(draw):
-    """(noise, depth): noise over 1-3 maps on 1-5 states with 0-3 prefix
-    stages, and a depth of 1-40.
-
-    Everything comes from a drawn seed: the maps, each stage's support and
-    its weights, all but the last over a denominator of its own, so stages
-    differ in denominator and a stage of three atoms mixes them; one stage
-    may carry a weight of 1/10^60.  Closures past 64 elements are rejected:
-    the absorption reference solves densely over every closure id.
-    """
-    rng = Random(draw(st.integers(0, 2**32)))
-    # five states and three maps more often: their laws have the most atoms
-    n = rng.choice((1, 2, 3, 4, 5, 5))
-    maps = [tuple(rng.randrange(n) for _ in range(n)) for _ in range(3)]
-    gens = sorted(set(map(TransformationElement, maps)))[: rng.choice((1, 2, 3, 3))]
-    stages = rng.randint(1, 4)
-    rare = rng.randint(0, stages)  # no 1/10^60 weight when it is `stages`
-    laws = []
-    for m in range(stages):
-        support = rng.sample(gens, rng.randint(1, len(gens)))
-        k = len(support)
-        # all but the last weight below 1/k, each over its own denominator
-        dens = rng.choices((2, 3, 5, 7, 11), k=k - 1)
-        weights = [Fraction(rng.randint(1, b - 1), b * k) for b in dens]
-        if m == rare and k > 1:
-            weights[0] = RARE
-        weights.append(1 - sum(weights))
-        laws.append(
-            ProbMeasure.from_weights(
-                element_carrier(StateSpace.of_size(n)), dict(zip(support, weights))
-            )
-        )
-    noise = NoiseSpec(laws[0], tuple(laws[1:]))
-    try:
-        assume(noise.closure.size <= 64)
-    except CapacityError:
-        assume(False)
-    return noise, rng.randint(1, 40)
-
-
-@settings(max_examples=200, derandomize=True, deadline=None)
-@given(mixed_denominator_noise())
-# a cycle and a constant drawn with probability 10^-60, behind two prefix
-# stages over thirds and sevenths
-@example((RARE_CYCLE, 40))
-def test_integer_laws_equal_the_fraction_step_reference(problem):
-    noise, depth = problem
-    atoms = noise.atom_ids
-    expected = [dict(atoms[0])]
-    for t in range(1, depth):
-        expected.append(step_reference(noise, expected[-1], atoms[min(t, len(atoms) - 1)]))
-    laws = noise.product_laws(depth)
-    assert [{i: Fraction(n, den) for i, n in law.items()} for law, den in laws] == expected
-    element = noise.closure.element
-    assert exact_product_law(noise, depth) == ProbMeasure.from_weights(
-        noise.carrier, {element(i): w for i, w in expected[-1].items()}
-    )
-    ids, d = range(noise.closure.size), noise.atom_numerators[-1][1]
-    rows = [{q: Fraction(n, d) for q, n in row.items()} for row in noise.tail_rows(ids)]
-    assert rows == [step_reference(noise, {p: Fraction(1)}, atoms[-1]) for p in ids]
-    stages = _stages(noise)
-    assert _exact_absorption(noise, stages) == exact_absorption_reference(noise, stages)
-
-    entry = ProbMeasure.uniform(state_carrier(noise.space), range(noise.space.size))
-    family = SolutionLawFamily(((0, entry),), (entry,), Origin("extremal"))
-    assert strongness_witness(noise, family, depth=depth).depths == (
-        strongness_residuals_reference(noise, family, depth, 10**6)
-    )

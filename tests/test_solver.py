@@ -23,6 +23,7 @@ from tsl import (
     element_carrier,
     extremal_solutions,
     fourier_trichotomy,
+    group_context,
     joint_window_law,
     limit_analysis,
     make_family,
@@ -39,6 +40,8 @@ from tsl import (
 import tsl.solver
 
 from helpers import (
+    FULL_SIX_GENERATORS,
+    SIX,
     THREE,
     count_calls,
     cyclic_noise,
@@ -51,7 +54,6 @@ from oracles import (
     three_state_absorption_tail,
     three_state_stationary,
 )
-from test_algebra import FULL_SIX_GENERATORS, SIX
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -418,6 +420,53 @@ def test_classify_cyclic_coset_cycle():
         ProbMeasure.uniform(car, [0, 2]),
     )
     assert fam.law_at(0) == ProbMeasure.uniform(car, [0, 2])
+
+
+# S3 with the identity at 0: row g lists g x for x = 0..5, where 1 and 2 are
+# the 3-cycles and 3, 4, 5 the transpositions
+S3_TABLE = [
+    [0, 1, 2, 3, 4, 5],
+    [1, 2, 0, 4, 5, 3],
+    [2, 0, 1, 5, 3, 4],
+    [3, 5, 4, 0, 2, 1],
+    [4, 3, 5, 1, 0, 2],
+    [5, 4, 3, 2, 1, 0],
+]
+
+
+def test_classify_point_mass_families_on_a_non_cyclic_group():
+    # a 3-cycle on S3: no Fourier data, so the translate branch decides
+    ctx = group_context(S3_TABLE)
+    assert [e.image for e in ctx.group_elements] == [tuple(row) for row in S3_TABLE]
+    noise = NoiseSpec(ProbMeasure.point(element_carrier(ctx.space), ctx.group_elements[1]))
+    report = classify(noise, ctx)
+    assert report.fourier is None and report.trichotomy is None
+    assert len(report.extremals) == 6
+    assert not report.unique_in_law
+    assert report.pathwise_unique is False
+    assert report.all_extremal_strong is True
+    assert report.notes == (
+        "deterministic noise: extremal solutions are point-mass translates (Thm 3.7)",
+        "no convergence in law on a group carrier: the uniform solution "
+        "exists and is not strong (Thm 3.6)",
+        "a non-strong solution exists, so pathwise uniqueness fails "
+        "(Thm 2.14)",
+        "deterministic noise: every extremal solution is strong (Thm 3.7)",
+    )
+    assert translate_orbit_check(noise, ctx, [fam for _, fam in report.extremals])
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([[0, 1, 2], [1, 2, 0], [2, 1, 0]], "not closed"),
+        ([[0, 1], [1, 1]], "row 1 is not a permutation"),
+        ([[1, 0], [0, 1]], "element 0 must be the group identity"),
+    ],
+)
+def test_group_context_rejects_tables_that_are_not_groups(rows, message):
+    with pytest.raises(ValueError, match=message):
+        group_context(rows)
 
 
 def test_classify_abstains_off_catalogue():
