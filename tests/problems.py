@@ -5,7 +5,9 @@
 the tail fills; weights over mixed denominators, 1/10^60 among them.  Each
 draw comes back as a `Problem`: the parsed spec, the context and noise that
 `compile_problem` builds from it, an entry law on the states and a depth.
-`problem` turns a short problem text into the same, for `@example` cases.
+`problem` turns a short problem text into the same, for `@example` cases,
+and `every_problem` runs a test on the drawn problems and on every carried
+example, so each fast path meets its reference on the same problems.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from fractions import Fraction
 from random import Random
 from typing import NamedTuple
 
-from hypothesis import strategies as st
+from hypothesis import example, given, strategies as st
 
 from tsl import (
     ActionContext,
@@ -130,3 +132,48 @@ def problems(draw, mode: str | None = None, rare: bool = True) -> Problem:
     spec = ProblemSpec(mode, size, generators, tail, tuple(zip(times, stages)))
     entry = [rng.randint(0, 9) for _ in range(size)]
     return _compiled(spec, entry if any(entry) else [1] * size, rng.randint(1, 40))
+
+
+# Problems carried from the tests the differential checks replaced; every
+# fast path meets its reference on each of them.
+CARRIED = [
+    # a group tail: its 24-state class is doubly stochastic, the uniform law ...
+    problem("space 4; gen t = 2 1 3 4; gen c = 2 3 4 1; noise iid t:1/2 c:1/2"),
+    # ... and a 4-state class whose columns do not sum to 1, the general solve
+    problem("space 3; gen a = 2 1 1; gen b = 2 1 2; noise iid a:3/4 b:1/4"),
+    # ... the same class entered from the identity
+    problem("space 3; gen a = 2 1 1; gen b = 2 1 2; gen e = 1 2 3; noise iid a:3/4 b:1/4; noise at 0 e:1"),
+    # a swap and a merge into state 1, half each: states (2/3, 1/3), and an
+    # absorbing tail
+    problem("space 2; gen s = 2 1; gen z = 1 1; noise iid s:1/2 z:1/2"),
+    # a swap that is never left, entered with probability 3/5 and 3/4
+    problem("space 2; gen s = 2 1; gen e = 1 2; gen o = 2 2; noise iid s:1; noise at 0 e:3/5 o:2/5"),
+    problem("space 2; gen s = 2 1; gen z = 1 1; gen e = 1 2; noise iid s:1; noise at 0 s:3/4 z:1/4; noise at -1 e:1"),
+    # a four-product class the prefix steers around (E[T] = 2); the prefix
+    # atom (3 2 2) sorts first, so the tail's closure ids start at 1
+    problem("space 3; gen a = 3 2 3; gen b = 3 3 2; gen c = 3 2 2; noise iid a:1/2 b:1/2; noise at 0 c:1"),
+    # a pure permutation walk, which never absorbs
+    problem("space 3; gen s = 2 1 3; noise iid s:1"),
+    # S3, the one subgroup no cycle part gives
+    problem("space 3; gen t = 2 1 3; gen c = 2 3 1; noise iid t:1/2 c:1/2"),
+    # perfbench's cyc4-rank3, alone and behind a prefix: 48 transient products
+    # in 4 blocks, over 3 of its 4 absorbing ones; and its cyc4-rank2
+    problem("space 4; gen c = 2 3 4 1; gen m = 1 1 3 4; noise iid c:1/2 m:1/2"),
+    problem("space 4; gen c = 2 3 4 1; gen m = 1 1 3 4; noise iid c:1/2 m:1/2; noise at 0 m:1"),
+    problem("space 4; gen c = 2 3 4 1; gen r = 1 1 1 4; gen m = 1 1 3 4; noise iid c:1/2 r:1/2; noise at 0 m:1"),
+    # a group tail behind a prefix that reaches 3 of the 27 closure ids, with
+    # the tail in the gap at -1
+    problem("space 3; gen s = 2 1 3; gen t = 1 3 2; gen k = 1 1 2; noise iid s:1/2 t:1/2; noise at 0 k:1; noise at -2 t:1"),
+    # a cycle and a constant drawn with probability 10^-60, behind two prefix
+    # stages over thirds and sevenths
+    problem(f"space 3; gen c = 2 3 1; gen z = 1 1 1; noise iid c:{1 - RARE} z:{RARE}; noise at 0 c:1/3 z:2/3; noise at -1 c:3/7 z:4/7", depth=40),
+    # a rotation of Z/3, period-3 families, behind a mixed stage and a gap
+    problem("group Z 3; noise iid 1:1; noise at -1 0:1/3 2:2/3"),
+]
+
+
+def every_problem(test):
+    """`test(p)` on the problems that `problems()` draws and on every CARRIED one."""
+    for p in reversed(CARRIED):
+        test = example(p)(test)
+    return given(problems())(test)

@@ -1,101 +1,49 @@
-"""Every exact fast path against its independent reference, on the same problems.
+"""Exact fast paths against their independent references, on the same problems.
 
 One generator, `problems.problems`, draws semigroup and `group Z N` problems;
 each case of the one test below holds one fast path of the library to its
 reference in `oracles` on every drawn problem and every carried example
 (McKeeman, "Differential testing for software", *Digital Technical Journal*
-10(1), 1998).
+10(1), 1998).  The product laws, the tail rows, the product chain, its
+classes and the exact absorption time meet their references on the same
+problems, through the same `every_problem`, in named tests of the measures
+and Monte Carlo property modules.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 import pytest
-from hypothesis import example, given
 
 from tsl import (
     CapacityError,
     MultiplicityError,
     Origin,
     ProbMeasure,
-    SimConfig,
     SolutionLawFamily,
-    TransformationElement,
     act,
-    build_product_chain,
     classify,
-    exact_product_law,
     find_subgroups,
     stationary_law,
-    stopping_time_stats,
     strongness_witness,
 )
 from tsl.measures import absorption, closed_classes, tail_chain
-from tsl.montecarlo import _stages
 
 from oracles import (
-    absorbing_reference,
-    absorption_time_reference,
     cesaro_reference,
     dense_absorption,
     dense_expected_steps,
     dense_stationary,
-    kernel_classes_reference,
-    product_chain_reference,
-    stagewise_product_law,
     state_window_reference,
-    step_reference,
     strongness_residuals_reference,
     subgroups_reference,
     window_reference,
 )
-from problems import RARE, images, problem, problems, schedule
+from problems import every_problem, images
 
 # the subgroup reference closes every pair of elements
 SUBGROUP_CAP = 16
-
-
-def check_product_laws(p):
-    noise, depth = p.noise, p.depth
-    atoms = noise.atom_ids
-    expected = [dict(atoms[0])]
-    for t in range(1, depth):
-        expected.append(step_reference(noise, expected[-1], atoms[min(t, len(atoms) - 1)]))
-    laws = noise.product_laws(depth)
-    assert [{i: Fraction(n, den) for i, n in law.items()} for law, den in laws] == expected
-    prefix, tail = schedule(noise)
-    assert images(exact_product_law(noise, depth)) == stagewise_product_law(prefix, tail, depth)
-
-
-def check_tail_rows(p):
-    noise = p.noise
-    ids, (_, d) = range(noise.closure.size), noise.atom_numerators[-1]
-    rows = [{q: Fraction(n, d) for q, n in row.items()} for row in noise.tail_rows(ids)]
-    assert rows == [step_reference(noise, {i: Fraction(1)}, noise.atom_ids[-1]) for i in ids]
-
-
-def check_tail_chain(p):
-    # from the first tail stage, the walk of build_product_chain; a prefix
-    # only widens the closure, so closure ids and chain positions differ
-    noise = p.noise
-    prefix, tail = schedule(noise)
-    chain = build_product_chain(noise)
-    states, rows, initial = product_chain_reference(tail)
-    assert [s.image for s in chain.states] == states
-    assert [dict(row) for row in chain.rows] == rows
-    assert list(chain.initial) == initial
-    # from the law after the prefix (the first factor's when there is none),
-    # the walk of the exact absorption time
-    start = stagewise_product_law(prefix, tail, max(len(prefix), 1))
-    index = noise.closure.element_index
-    den = lcm(*(w.denominator for w in start.values()))
-    law = {index[TransformationElement(s)]: int(w * den) for s, w in start.items()}
-    ids, out, weights = tail_chain(noise, (law, den))
-    states, rows, expected = product_chain_reference(tail, start)
-    assert ids == [index[TransformationElement(s)] for s in states]
-    assert (out, weights) == (rows, expected)
 
 
 def check_absorption(p):
@@ -108,36 +56,6 @@ def check_absorption(p):
     rows = [[row.get(j, Fraction(0)) for j in range(len(ids))] for row in out]
     assert hits == dense_absorption(rows, initial, list(transient), list(map(list, classes)))
     assert steps == dense_expected_steps(rows, initial, list(transient))
-
-
-def check_build_product_chain(p):
-    # products of tail factors are the chain's states; its closed classes are
-    # the kernel grouped by image
-    noise = p.noise
-    chain = build_product_chain(noise)
-    classes = chain.recurrent_classes
-    kernel = kernel_classes_reference(list(images(noise.tail)))
-    assert {frozenset(chain.states[i].image for i in c.member_ids) for c in classes} == kernel
-    rows = chain.transitions
-    for cls in classes:
-        members = list(cls.member_ids)
-        assert cls.stationary == tuple(zip(members, dense_stationary(rows, members)))
-    assert [cls.absorption for cls in classes] == dense_absorption(
-        rows,
-        list(chain.initial),
-        list(chain.transient_ids),
-        [list(cls.member_ids) for cls in classes],
-    )
-
-
-def check_stopping_time_stats(p):
-    noise = p.noise
-    prefix, tail = schedule(noise)
-    stats = stopping_time_stats(noise, SimConfig(depth=1, trials=1))
-    assert (stats.exact_mean, stats.infinite_mass) == absorption_time_reference(prefix, tail)
-    closure_images = [e.image for e in noise.closure.elements]
-    expected = absorbing_reference(prefix, tail, closure_images)
-    assert [set(s.absorbing) for s in _stages(noise)] == expected
 
 
 def check_limit_analysis(p):
@@ -208,12 +126,7 @@ def check_find_subgroups(p):
 FAST_PATHS = {
     check.__name__.removeprefix("check_"): check
     for check in (
-        check_product_laws,
-        check_tail_rows,
-        check_tail_chain,
         check_absorption,
-        check_build_product_chain,
-        check_stopping_time_stats,
         check_limit_analysis,
         check_strongness_witness,
         check_stationary_law,
@@ -223,38 +136,6 @@ FAST_PATHS = {
 
 
 @pytest.mark.parametrize("path", FAST_PATHS)
-@given(problems())
-# a group tail: its 24-state class is doubly stochastic, the uniform law ...
-@example(problem("space 4; gen t = 2 1 3 4; gen c = 2 3 4 1; noise iid t:1/2 c:1/2"))
-# ... and a 4-state class whose columns do not sum to 1, the general solve
-@example(problem("space 3; gen a = 2 1 1; gen b = 2 1 2; noise iid a:3/4 b:1/4"))
-# ... the same class entered from the identity
-@example(problem("space 3; gen a = 2 1 1; gen b = 2 1 2; gen e = 1 2 3; noise iid a:3/4 b:1/4; noise at 0 e:1"))
-# a swap and a merge into state 1, half each: states (2/3, 1/3), and an
-# absorbing tail
-@example(problem("space 2; gen s = 2 1; gen z = 1 1; noise iid s:1/2 z:1/2"))
-# a swap that is never left, entered with probability 3/5 and 3/4
-@example(problem("space 2; gen s = 2 1; gen e = 1 2; gen o = 2 2; noise iid s:1; noise at 0 e:3/5 o:2/5"))
-@example(problem("space 2; gen s = 2 1; gen z = 1 1; gen e = 1 2; noise iid s:1; noise at 0 s:3/4 z:1/4; noise at -1 e:1"))
-# a four-product class the prefix steers around (E[T] = 2); the prefix
-# atom (3 2 2) sorts first, so the tail's closure ids start at 1
-@example(problem("space 3; gen a = 3 2 3; gen b = 3 3 2; gen c = 3 2 2; noise iid a:1/2 b:1/2; noise at 0 c:1"))
-# a pure permutation walk, which never absorbs
-@example(problem("space 3; gen s = 2 1 3; noise iid s:1"))
-# S3, the one subgroup no cycle part gives
-@example(problem("space 3; gen t = 2 1 3; gen c = 2 3 1; noise iid t:1/2 c:1/2"))
-# perfbench's cyc4-rank3, alone and behind a prefix: 48 transient products
-# in 4 blocks, over 3 of its 4 absorbing ones; and its cyc4-rank2
-@example(problem("space 4; gen c = 2 3 4 1; gen m = 1 1 3 4; noise iid c:1/2 m:1/2"))
-@example(problem("space 4; gen c = 2 3 4 1; gen m = 1 1 3 4; noise iid c:1/2 m:1/2; noise at 0 m:1"))
-@example(problem("space 4; gen c = 2 3 4 1; gen r = 1 1 1 4; gen m = 1 1 3 4; noise iid c:1/2 r:1/2; noise at 0 m:1"))
-# a group tail behind a prefix that reaches 3 of the 27 closure ids, with
-# the tail in the gap at -1
-@example(problem("space 3; gen s = 2 1 3; gen t = 1 3 2; gen k = 1 1 2; noise iid s:1/2 t:1/2; noise at 0 k:1; noise at -2 t:1"))
-# a cycle and a constant drawn with probability 10^-60, behind two prefix
-# stages over thirds and sevenths
-@example(problem(f"space 3; gen c = 2 3 1; gen z = 1 1 1; noise iid c:{1 - RARE} z:{RARE}; noise at 0 c:1/3 z:2/3; noise at -1 c:3/7 z:4/7", depth=40))
-# a rotation of Z/3, period-3 families, behind a mixed stage and a gap
-@example(problem("group Z 3; noise iid 1:1; noise at -1 0:1/3 2:2/3"))
+@every_problem
 def test_fast_path_meets_its_reference(path, p):
     FAST_PATHS[path](p)

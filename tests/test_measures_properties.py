@@ -3,24 +3,37 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from hypothesis import given, strategies as st
 
 from tsl import (
     ProbMeasure,
+    SimConfig,
+    TransformationElement,
     act,
+    build_product_chain,
     compose,
     convolve,
     element_carrier,
     find_subgroups,
     is_right_invariant,
     mix,
+    stopping_time_stats,
     tv_distance,
 )
-from tsl.measures import _strongly_connected_components, closed_classes
+from tsl.measures import _strongly_connected_components, closed_classes, tail_chain
 
-from oracles import right_invariance_reference
-from problems import images, problems
+from oracles import (
+    absorption_time_reference,
+    dense_absorption,
+    dense_stationary,
+    kernel_classes_reference,
+    product_chain_reference,
+    right_invariance_reference,
+    stagewise_product_law,
+)
+from problems import every_problem, images, problems, schedule
 
 
 @given(problems())
@@ -110,6 +123,69 @@ def test_noise_schedule_matches_prefix_listing(p, k):
     for name, w in dict(spec.prefix).get(k, spec.tail):
         law[by_name[name]] = law.get(by_name[name], 0) + w
     assert images(p.noise.measure_at(k)) == law
+
+
+@every_problem
+def test_chain_solves_match_the_dense_reference(p):
+    chain = build_product_chain(p.noise)
+    rows = chain.transitions
+    classes = chain.recurrent_classes
+    for cls in classes:
+        members = list(cls.member_ids)
+        pi = dict(cls.stationary)
+        assert sum(pi.values()) == 1
+        for j in members:
+            assert sum(pi[i] * rows[i][j] for i in members) == pi[j]
+        assert cls.stationary == tuple(zip(members, dense_stationary(rows, members)))
+    assert [cls.absorption for cls in classes] == dense_absorption(
+        rows,
+        list(chain.initial),
+        list(chain.transient_ids),
+        [list(cls.member_ids) for cls in classes],
+    )
+    assert sum(c.absorption for c in classes) == 1
+
+
+@every_problem
+def test_absorption_time_matches_the_definition(p):
+    stats = stopping_time_stats(p.noise, SimConfig(depth=1, trials=1))
+    assert (stats.exact_mean, stats.infinite_mass) == absorption_time_reference(*schedule(p.noise))
+
+
+@every_problem
+def test_product_chain_matches_the_object_level_search(p):
+    # prefix stages widen the closure, so closure ids and chain positions differ
+    chain = build_product_chain(p.noise)
+    states, rows, initial = product_chain_reference(images(p.noise.tail))
+    assert [s.image for s in chain.states] == states
+    assert [dict(row) for row in chain.rows] == rows
+    assert list(chain.initial) == initial
+
+
+@every_problem
+def test_recurrent_classes_are_the_kernel_grouped_by_image(p):
+    # products of tail factors are the chain's states; a prefix only widens
+    # the closure the chain's ids come from
+    chain = build_product_chain(p.noise)
+    classes = {frozenset(chain.states[i].image for i in c.member_ids) for c in chain.recurrent_classes}
+    assert classes == kernel_classes_reference(list(images(p.noise.tail)))
+
+
+@every_problem
+def test_tail_chain_from_the_law_after_the_prefix_matches_the_object_level_search(p):
+    # the walk simulate's exact absorption time takes: from the law of the
+    # product of the prefix factors (of the first factor when there is none)
+    noise = p.noise
+    prefix, tail = schedule(noise)
+    start = stagewise_product_law(prefix, tail, max(len(prefix), 1))
+    index = noise.closure.element_index
+    den = lcm(*(w.denominator for w in start.values()))
+    law = {index[TransformationElement(s)]: int(w * den) for s, w in start.items()}
+    ids, out, initial = tail_chain(noise, (law, den))
+    states, rows, weights = product_chain_reference(tail, start)
+    assert ids == [index[TransformationElement(s)] for s in states]
+    assert out == rows
+    assert initial == weights
 
 
 @given(st.integers(1, 8).flatmap(lambda n: st.lists(st.sets(st.integers(0, n - 1)), min_size=n, max_size=n)))

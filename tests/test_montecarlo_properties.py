@@ -1,5 +1,5 @@
-"""Randomized checks of the Monte Carlo trial kernel and the trial tally
-against the full-draw reference."""
+"""Randomized checks of the Monte Carlo trial kernel, the trial tally and the
+exact laws against the definitions."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from statistics import median_high
 
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from tsl import (
     ProbMeasure,
@@ -15,14 +15,17 @@ from tsl import (
     SplitMix64,
     coupling_samples,
     estimate_law,
+    exact_product_law,
     simulate_paths,
     state_carrier,
     stopping_time_stats,
+    strongness_witness,
     trial_stream,
 )
 from tsl.montecarlo import (
     GAMMA,
     _BLOCK,
+    _exact_absorption,
     _jump,
     _skip_to_window_end,
     _stages,
@@ -31,8 +34,17 @@ from tsl.montecarlo import (
 )
 from tsl.solver import Origin, SolutionLawFamily
 
-from oracles import backward_product_reference, pick_reference, splitmix64_reference
-from problems import problem, problems, schedule
+from oracles import (
+    absorbing_reference,
+    absorption_time_reference,
+    backward_product_reference,
+    pick_reference,
+    splitmix64_reference,
+    stagewise_product_law,
+    step_reference,
+    strongness_residuals_reference,
+)
+from problems import every_problem, images, problem, problems, schedule
 
 TRIALS = 6
 MASK = (1 << 64) - 1
@@ -305,3 +317,47 @@ def test_tally_matches_the_full_draw_reference(p, seed):
         assert stats.median == median_high(times)
     else:
         assert stats.empirical_mean is stats.median is None
+
+
+@every_problem
+def test_exact_absorption_matches_the_all_ids_reference(p):
+    # each stage's absorbing set is every closure id that all later atoms fix
+    noise = p.noise
+    prefix, tail = schedule(noise)
+    stages = _stages(noise)
+    expected = absorbing_reference(prefix, tail, [e.image for e in noise.closure.elements])
+    assert [set(stage.absorbing) for stage in stages] == expected
+    assert _exact_absorption(noise, stages) == absorption_time_reference(prefix, tail)
+
+
+@every_problem
+def test_exact_product_law_matches_the_stagewise_reference(p):
+    prefix, tail = schedule(p.noise)
+    expected = stagewise_product_law(prefix, tail, p.depth)
+    assert images(exact_product_law(p.noise, p.depth)) == expected
+
+
+@settings(max_examples=200)
+@every_problem
+def test_integer_laws_equal_the_fraction_step_reference(p):
+    noise, depth = p.noise, p.depth
+    atoms = noise.atom_ids
+    expected = [dict(atoms[0])]
+    for t in range(1, depth):
+        expected.append(step_reference(noise, expected[-1], atoms[min(t, len(atoms) - 1)]))
+    laws = noise.product_laws(depth)
+    assert [{i: Fraction(n, den) for i, n in law.items()} for law, den in laws] == expected
+    element = noise.closure.element
+    assert exact_product_law(noise, depth) == ProbMeasure.from_weights(
+        noise.carrier, {element(i): w for i, w in expected[-1].items()}
+    )
+    ids, (_, d) = range(noise.closure.size), noise.atom_numerators[-1]
+    rows = [{q: Fraction(n, d) for q, n in row.items()} for row in noise.tail_rows(ids)]
+    assert rows == [step_reference(noise, {i: Fraction(1)}, atoms[-1]) for i in ids]
+    stages = _stages(noise)
+    assert _exact_absorption(noise, stages) == absorption_time_reference(*schedule(noise))
+
+    family = SolutionLawFamily(((0, p.entry),), (p.entry,), Origin("extremal"))
+    assert strongness_witness(noise, family, depth=depth).depths == (
+        strongness_residuals_reference(noise, family, depth, 10**6)
+    )
