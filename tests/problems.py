@@ -7,7 +7,10 @@ draw comes back as a `Problem`: the parsed spec, the context and noise that
 `compile_problem` builds from it, an entry law on the states and a depth.
 `problem` turns a short problem text into the same, for `@example` cases,
 and `every_problem` runs a test on the drawn problems and on every carried
-example, so each fast path meets its reference on the same problems.
+example.  Each exact fast path has one such test that holds it to its
+independent reference in `oracles`, so every fast path meets its reference
+on the same problems (McKeeman, "Differential testing for software",
+*Digital Technical Journal* 10(1), 1998).
 """
 
 from __future__ import annotations
@@ -34,8 +37,11 @@ RARE = Fraction(1, 10**60)
 # a weight below 1/k in a law of k atoms is one of these over k: each has a
 # prime denominator of its own
 SHARES = [Fraction(n, d) for d in (2, 3, 5, 7, 11) for n in range(1, d)]
-# the dense references solve over every product, so larger closures are redrawn
-MAX_CLOSURE = 64
+# (maps, closure elements, N of `group Z N`) at most: the dense references
+# solve over every product, so larger closures are redrawn; wide problems
+# take every closure on 1-4 states (|T4| = 256)
+NARROW = (3, 64, 8)
+WIDE = (4, 256, 12)
 
 
 class Problem(NamedTuple):
@@ -49,7 +55,8 @@ class Problem(NamedTuple):
     depth: int
 
     def laws(self, count: int) -> list[ProbMeasure]:
-        """The noise laws at k = 0, -1, ..., -(count - 1)."""
+        """The noise laws at k = 0, -1, ..., -(count - 1): pairwise distinct
+        when the problem was drawn with ``laws=count``."""
         return [self.noise.measure_at(-m) for m in range(count)]
 
 
@@ -94,47 +101,68 @@ def noise_law(rng: Random, names: list[str], rare: bool) -> tuple[tuple[str, Fra
     return tuple(zip(atoms, weights))
 
 
-def _generators(rng: Random, size: int) -> tuple[tuple[str, tuple[int, ...]], ...]:
-    """1-3 maps on `size` states, drawn again until their closure is small."""
+def _generators(
+    rng: Random, size: int, count: tuple[int, int], max_closure: int, distinct: bool
+) -> tuple[tuple[str, tuple[int, ...]], ...]:
+    """`count[0]`-`count[1]` maps on `size` states, drawn again until their
+    closure has at most `max_closure` elements (and, with `distinct`, until
+    no two are equal)."""
     while True:
-        maps = [tuple(rng.randrange(size) for _ in range(size)) for _ in range(rng.randint(1, 3))]
+        maps = [tuple(rng.randrange(size) for _ in range(size)) for _ in range(rng.randint(*count))]
+        if distinct and len(set(maps)) < len(maps):
+            continue
         try:
-            generate_closure(StateSpace.of_size(size), [TransformationElement(m) for m in maps], cap=MAX_CLOSURE)
+            generate_closure(StateSpace.of_size(size), [TransformationElement(m) for m in maps], cap=max_closure)
         except CapacityError:
             continue
         return tuple((f"g{i}", image) for i, image in enumerate(maps))
 
 
 @st.composite
-def problems(draw, mode: str | None = None, rare: bool = True) -> Problem:
+def problems(
+    draw,
+    mode: str | None = None,
+    rare: bool = True,
+    laws: int = 1,
+    wide: bool = False,
+) -> Problem:
     """A problem in ``mode``, either when None: "semigroup", 1-3 maps on 1-5
-    states whose closure has at most MAX_CLOSURE elements, or "cyclic",
-    `group Z N` with N <= 8.
+    states whose closure has at most 64 elements, or "cyclic", `group Z N`
+    with N <= 8; with ``wide``, 1-4 maps, 256 elements and N <= 12.
 
     Everything comes from one drawn seed.  The i.i.d. law and 0-3 stages at
     times -4..0 each draw their atoms; with ``rare`` one law in every other
-    problem gets a weight of 1/10^60 when it has two atoms or more.  The
-    entry law puts 0-9 on each state, uniform when all are 0, and the depth
-    is 1-40.
+    problem gets a weight of 1/10^60 when it has two atoms or more.  With
+    ``laws`` > 1 there are stages at 0, -1, ..., -(laws - 2), and the laws at
+    0, -1, ..., -(laws - 1) are pairwise distinct, over at least two distinct
+    maps.  The entry law puts 0-9 on each state, uniform when all are 0, and
+    the depth is 1-40.
     """
     rng = Random(draw(st.integers(0, 2**32)))
     mode = mode or rng.choice(("semigroup", "cyclic"))
+    maps, max_closure, max_modulus = WIDE if wide else NARROW
+    smallest = 1 if laws == 1 else 2
     if mode == "semigroup":
-        size = rng.choice((1, 2, 3, 3, 4, 4, 5, 5))
-        generators = _generators(rng, size)
+        size = rng.choice((1, 2, 3, 3, 4, 4, 5, 5)[smallest - 1 :])
+        generators = _generators(rng, size, (smallest, maps), max_closure, laws > 1)
         names = [name for name, _ in generators]
     else:
-        size, generators = rng.randint(1, 8), ()
+        size, generators = rng.randint(smallest, max_modulus), ()
         names = [str(r) for r in range(size)]
-    times = sorted(rng.sample(range(-4, 1), rng.randint(0, 3)), reverse=True)
+    drawn = rng.sample(range(-4, 1), rng.randint(0, 3))
+    times = sorted(set(drawn) | set(range(2 - laws, 1)), reverse=True)
     rare_at = rng.randint(0, 2 * len(times) + 1) if rare else -1
-    tail, *stages = (noise_law(rng, names, m == rare_at) for m in range(len(times) + 1))
+    while True:
+        tail, *stages = (noise_law(rng, names, m == rare_at) for m in range(len(times) + 1))
+        at = dict(zip(times, stages))
+        if len({frozenset(at.get(-m, tail)) for m in range(laws)}) == laws:
+            break
     spec = ProblemSpec(mode, size, generators, tail, tuple(zip(times, stages)))
     entry = [rng.randint(0, 9) for _ in range(size)]
     return _compiled(spec, entry if any(entry) else [1] * size, rng.randint(1, 40))
 
 
-# Problems carried from the tests the differential checks replaced; every
+# Problems carried from the examples of the earlier fast-path tests; every
 # fast path meets its reference on each of them.
 CARRIED = [
     # a group tail: its 24-state class is doubly stochastic, the uniform law ...

@@ -32,6 +32,10 @@ from tsl import (
 
 from helpers import count_calls, product_table
 from oracles import compose_images, generate_closure_reference, subgroups_reference
+from problems import every_problem
+
+# the subgroup reference closes every pair of elements
+SUBGROUP_CAP = 16
 
 
 @st.composite
@@ -249,6 +253,20 @@ def test_full_monoid_subgroups_are_every_cycle_and_closure_subgroup(n, max_gen):
     sg = full_transformation_monoid(StateSpace.of_size(n))
     found = {sub.member_ids for sub in find_subgroups(sg, max_gen=max_gen, cap=64)}
     assert found == subgroups_reference(sg.elements, max_gen)
+
+
+@every_problem
+def test_subgroups_of_the_ambient_semigroup_match_the_reference(p):
+    # the ambient semigroup at a small cap (Z N, or every map on 1-2 states),
+    # and the noise closure when it is as small
+    try:
+        searched = [p.context.ambient_semigroup(cap=SUBGROUP_CAP), p.noise.closure]
+    except CapacityError:
+        searched = [p.noise.closure]
+    for sg in searched:
+        if sg.size <= SUBGROUP_CAP:
+            found = {sub.member_ids for sub in find_subgroups(sg, cap=SUBGROUP_CAP)}
+            assert found == subgroups_reference(sg.elements, 2)
 
 
 def _maximal_subgroup_orders(n: int) -> list[int]:

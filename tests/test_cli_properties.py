@@ -13,7 +13,7 @@ from tsl.cli import main, parse_spec, serialize_spec
 
 from problems import problems
 
-# every command on a problem of the generator's size finishes within this
+# every command on a fuzzed problem finishes within this
 BUDGET_S = 2.0
 
 
@@ -28,7 +28,7 @@ def run_main(argv: list[str]) -> tuple[int, str, str]:
 @settings(max_examples=40)
 @given(data=st.data())
 def test_every_written_problem_reads_back_and_runs(tmp_path_factory, mode, data):
-    spec = data.draw(problems(mode)).spec
+    spec = data.draw(problems(mode, wide=True)).spec
     text = serialize_spec(spec)
     assert parse_spec(text) == spec
     path = tmp_path_factory.mktemp("problem") / "problem.tsl"

@@ -5,9 +5,11 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
+import pytest
 from hypothesis import given, strategies as st
 
 from tsl import (
+    MultiplicityError,
     ProbMeasure,
     SimConfig,
     TransformationElement,
@@ -19,14 +21,16 @@ from tsl import (
     find_subgroups,
     is_right_invariant,
     mix,
+    stationary_law,
     stopping_time_stats,
     tv_distance,
 )
-from tsl.measures import _strongly_connected_components, closed_classes, tail_chain
+from tsl.measures import _strongly_connected_components, absorption, closed_classes, tail_chain
 
 from oracles import (
     absorption_time_reference,
     dense_absorption,
+    dense_expected_steps,
     dense_stationary,
     kernel_classes_reference,
     product_chain_reference,
@@ -36,19 +40,19 @@ from oracles import (
 from problems import every_problem, images, problems, schedule
 
 
-@given(problems())
+@given(problems(laws=3))
 def test_convolution_is_associative(p):
     m1, m2, m3 = p.laws(3)
     assert convolve(convolve(m1, m2), m3) == convolve(m1, convolve(m2, m3))
 
 
-@given(problems())
+@given(problems(laws=2))
 def test_action_is_mixed_associative(p):
     m1, m2 = p.laws(2)
     assert act(convolve(m1, m2), p.entry) == act(m1, act(m2, p.entry))
 
 
-@given(problems(), st.integers(1, 9), st.integers(1, 9))
+@given(problems(laws=2), st.integers(1, 9), st.integers(1, 9))
 def test_convolution_and_action_are_bilinear(p, wa, wb):
     m1, m2 = p.laws(2)
     w = Fraction(wa, wa + wb)
@@ -69,14 +73,14 @@ def test_point_action_is_a_pushforward(p):
     assert act(delta, p.entry) == p.entry.pushforward(lambda x: sigma.image[x])
 
 
-@given(problems())
+@given(problems(laws=2))
 def test_convolution_support_is_the_product_set(p):
     m1, m2 = p.laws(2)
     expected = {compose(a, b) for a in m1.support for b in m2.support}
     assert set(convolve(m1, m2).support) == expected
 
 
-@given(problems(), st.data())
+@given(problems(laws=2), st.data())
 def test_right_invariance_matches_the_pushforward_reference(p, data):
     mu, other = p.laws(2)
     sub = data.draw(st.sampled_from(find_subgroups(p.noise.closure)))
@@ -91,7 +95,7 @@ def test_right_invariance_matches_the_pushforward_reference(p, data):
     assert is_right_invariant(tilted, sub) == sub.is_trivial
 
 
-@given(problems())
+@given(problems(laws=3))
 def test_tv_distance_is_a_metric(p):
     m1, m2, m3 = p.laws(3)
     assert tv_distance(m1, m2) == tv_distance(m2, m1)
@@ -100,7 +104,7 @@ def test_tv_distance_is_a_metric(p):
     assert 0 <= tv_distance(m1, m2) <= 1
 
 
-@given(problems())
+@given(problems(laws=3))
 def test_mix_commutes_with_weight_lookup(p):
     measures = p.laws(3)
     weights = [Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)]
@@ -188,6 +192,23 @@ def test_tail_chain_from_the_law_after_the_prefix_matches_the_object_level_searc
     assert initial == weights
 
 
+@every_problem
+def test_stationary_law_matches_the_dense_reference(p):
+    mu, n = p.noise.tail, p.noise.space.size
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for sigma, w in mu.atoms:
+        for x in range(n):
+            rows[x][sigma.image[x]] += w
+    try:
+        law = stationary_law(mu)
+    except MultiplicityError:
+        # several stationary laws: the all-state system is singular
+        with pytest.raises(ValueError):
+            dense_stationary(rows, list(range(n)))
+        return
+    assert [law.weight(x) for x in range(n)] == dense_stationary(rows, list(range(n)))
+
+
 @given(st.integers(1, 8).flatmap(lambda n: st.lists(st.sets(st.integers(0, n - 1)), min_size=n, max_size=n)))
 def test_components_match_reachability_and_come_out_downstream_first(succ):
     reach = []
@@ -207,3 +228,16 @@ def test_components_match_reachability_and_come_out_downstream_first(succ):
     # v's component is closed when everything v reaches reaches v back
     closed_sets = {tuple(sorted(r)) for v, r in enumerate(reach) if all(v in reach[w] for w in r)}
     assert closed_classes(succ) == sorted(closed_sets)
+
+
+@every_problem
+def test_absorption_from_the_law_after_a_prefix_matches_the_dense_reference(p):
+    noise = p.noise
+    *_, law = noise.product_laws(max(noise.prefix_length, 1))
+    ids, out, initial = tail_chain(noise, law)
+    classes, hits, transient, steps = absorption(out, initial)
+    assert classes == closed_classes(out)
+    assert set(transient) == set(range(len(ids))) - {v for c in classes for v in c}
+    rows = [[row.get(j, Fraction(0)) for j in range(len(ids))] for row in out]
+    assert hits == dense_absorption(rows, initial, list(transient), list(map(list, classes)))
+    assert steps == dense_expected_steps(rows, initial, list(transient))

@@ -4,10 +4,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
 from tsl import (
+    CapacityError,
     MultiplicityError,
+    Origin,
+    ProbMeasure,
+    SolutionLawFamily,
     act,
     classify,
     deterministic_translate_families,
@@ -19,8 +24,14 @@ from tsl import (
 )
 
 from helpers import cyclic_noise
-from oracles import fourier_oracle
-from problems import problems
+from oracles import (
+    cesaro_reference,
+    fourier_oracle,
+    state_window_reference,
+    strongness_residuals_reference,
+    window_reference,
+)
+from problems import every_problem, images, problems
 
 
 def _solves_the_recursion(p) -> None:
@@ -46,6 +57,27 @@ def test_families_solve_the_recursion_externally(p):
 @given(problems("cyclic"))
 def test_cyclic_families_solve_the_recursion_externally(p):
     _solves_the_recursion(p)
+
+
+@every_problem
+def test_window_laws_match_the_convolution_reference(p):
+    # the limit analysis takes the Cesaro law as fixed below the prefix, and
+    # every family derives its window from its tail cycle; both must agree
+    # with pushing every window position through its noise law
+    noise = p.noise
+    report = classify(noise, p.context)
+    limit = report.limit
+    assert images(limit.cesaro) == cesaro_reference(images(noise.tail))
+    depth = len(limit.cesaro_window) - 1
+    assert limit.cesaro_window == window_reference(noise, limit.cesaro, depth)
+    if limit.converges_in_law or not report.certified_extremal:
+        for x, fam in report.extremals:
+            entry = ProbMeasure.point(p.entry.carrier, x)
+            assert fam.window == tuple((k, act(m, entry)) for k, m in limit.cesaro_window)
+            assert fam.tail_cycle == (act(limit.cesaro, entry),)
+    for _, fam in report.extremals:
+        below = fam.law_at(-fam.depth - 1)
+        assert fam.window == state_window_reference(noise, below, fam.depth)
 
 
 def _yamada_watanabe(report) -> None:
@@ -80,7 +112,7 @@ def test_yamada_watanabe_consistency_on_cyclic_groups(p):
         assert report.unique_in_law == (report.trichotomy == "C1")
 
 
-@given(problems("cyclic", rare=False))
+@given(problems("cyclic", rare=False, wide=True))
 def test_fourier_matches_the_independent_oracle(p):
     # the oracle's float moduli cannot tell a weight of 10^-60 from none
     report = fourier_trichotomy(p.noise, p.context)
@@ -92,7 +124,7 @@ def test_fourier_matches_the_independent_oracle(p):
     assert report.trichotomy == oracle["case"]
 
 
-@given(problems("cyclic"))
+@given(problems("cyclic", wide=True))
 def test_fourier_structure(prob):
     n = prob.spec.size
     rep = fourier_trichotomy(prob.noise, prob.context)
@@ -149,3 +181,20 @@ def test_witness_reports_are_well_formed(p):
             # synchronizing limits leave nothing unpredictable eventually
             deeper = strongness_witness(noise, fam, depth=16)
             assert deeper.residual <= witness.residual
+
+
+@every_problem
+def test_witness_matches_the_convolution_reference(p):
+    # a budget past every support, and one that some products exceed
+    noise, depth = p.noise, p.depth
+    family = SolutionLawFamily(((0, p.entry),), (p.entry,), Origin("extremal"))
+    for budget in (10**6, 12):
+        try:
+            expected = strongness_residuals_reference(noise, family, depth, budget)
+        except CapacityError as exc:
+            with pytest.raises(CapacityError) as got:
+                strongness_witness(noise, family, depth=depth, budget=budget)
+            assert str(got.value) == str(exc)
+            continue
+        witness = strongness_witness(noise, family, depth=depth, budget=budget)
+        assert (witness.depths, witness.residual) == (expected, expected[-1][1])
