@@ -164,11 +164,15 @@ class ProbMeasure:
         return self.atoms
 
     def pushforward(self, f) -> "ProbMeasure":
-        out: dict[MeasureKey, Fraction] = {}
-        for k, w in self.atoms:
-            kk = f(k)
-            out[kk] = out.get(kk, 0) + w
-        return ProbMeasure.from_weights(self.carrier, out)
+        return ProbMeasure.from_weights(self.carrier, _summed((f(k), w) for k, w in self.atoms))
+
+
+def _summed(pairs: Iterable[tuple]) -> dict:
+    """The weights of (key, weight) pairs, summed by key."""
+    out: dict = {}
+    for k, w in pairs:
+        out[k] = out.get(k, 0) + w
+    return out
 
 
 def mix(measures: Sequence[ProbMeasure], weights: Sequence[Fraction]) -> ProbMeasure:
@@ -176,25 +180,18 @@ def mix(measures: Sequence[ProbMeasure], weights: Sequence[Fraction]) -> ProbMea
     if not measures:
         raise ValueError("nothing to mix")
     carrier = measures[0].carrier
-    out: dict[MeasureKey, Fraction] = {}
-    for m, w in zip(measures, weights):
-        if m.carrier != carrier:
-            raise CarrierMismatchError("mixture components live on different carriers")
-        for k, v in m.atoms:
-            out[k] = out.get(k, 0) + w * v
-    return ProbMeasure.from_weights(carrier, out)
+    if any(m.carrier != carrier for m, _ in zip(measures, weights)):
+        raise CarrierMismatchError("mixture components live on different carriers")
+    pairs = ((k, w * v) for m, w in zip(measures, weights) for k, v in m.atoms)
+    return ProbMeasure.from_weights(carrier, _summed(pairs))
 
 
 def convolve(mu1: ProbMeasure, mu2: ProbMeasure) -> ProbMeasure:
     """(mu1 * mu2)(c) = sum of mu1(a) mu2(b) over factorizations c = a b."""
     if mu1.carrier != mu2.carrier or mu1.carrier.kind != "element":
         raise CarrierMismatchError("convolution needs two element measures on one space")
-    out: dict[MeasureKey, Fraction] = {}
-    for a, wa in mu1.atoms:
-        for b, wb in mu2.atoms:
-            c = compose(a, b)
-            out[c] = out.get(c, 0) + wa * wb
-    return ProbMeasure.from_weights(mu1.carrier, out)
+    pairs = ((compose(a, b), wa * wb) for a, wa in mu1.atoms for b, wb in mu2.atoms)
+    return ProbMeasure.from_weights(mu1.carrier, _summed(pairs))
 
 
 def act(mu: ProbMeasure, lam: ProbMeasure) -> ProbMeasure:
@@ -203,12 +200,8 @@ def act(mu: ProbMeasure, lam: ProbMeasure) -> ProbMeasure:
         raise CarrierMismatchError("act needs an element measure and a state measure")
     if mu.carrier.space != lam.carrier.space:
         raise CarrierMismatchError("element and state measures live on different spaces")
-    out: dict[MeasureKey, Fraction] = {}
-    for sigma, ws in mu.atoms:
-        for x, wx in lam.atoms:
-            y = sigma.image[x]
-            out[y] = out.get(y, 0) + ws * wx
-    return ProbMeasure.from_weights(lam.carrier, out)
+    pairs = ((sigma.image[x], ws * wx) for sigma, ws in mu.atoms for x, wx in lam.atoms)
+    return ProbMeasure.from_weights(lam.carrier, _summed(pairs))
 
 
 def tv_distance(m1: ProbMeasure, m2: ProbMeasure) -> Fraction:
@@ -444,48 +437,50 @@ def closed_classes(succ: Sequence[Iterable[int]]) -> list[tuple[int, ...]]:
 
 
 def _class_period(members: Sequence[int], succ: Sequence[Iterable[int]]) -> int:
-    base = members[0]
-    level = {base: 0}
-    queue = deque([base])
-    member_set = set(members)
+    """The period of the closed class ``members``: the gcd over its steps u -> v
+    of level(u) + 1 - level(v), with levels from one breadth-first search."""
+    level = {members[0]: 0}
+    queue = deque(level)
     while queue:
         u = queue.popleft()
         for v in succ[u]:
-            if v in member_set and v not in level:
+            if v not in level:
                 level[v] = level[u] + 1
                 queue.append(v)
-    g = 0
-    for u in members:
-        for v in succ[u]:
-            if v in member_set:
-                g = gcd(g, level[u] + 1 - level[v])
-    return g or 1
+    return gcd(*(level[u] + 1 - level[v] for u in members for v in succ[u])) or 1
 
 
 def tail_chain(
-    noise: NoiseSpec, law: tuple
-) -> tuple[list[int], list[dict[int, Fraction]], list[Fraction]]:
-    """The ids that tail steps reach from ``law``, their rows, and ``law`` on them.
+    noise: NoiseSpec, law: tuple, act=None
+) -> tuple[list, list[dict[int, Fraction]], list[Fraction]]:
+    """The keys that tail steps reach from ``law``, their rows, and ``law`` on them.
 
-    ``law`` is held as `NoiseSpec.step` holds laws.  Breadth first: the
-    support of ``law``, then each level's new successors, each level in image
-    order.  ``out[j]`` maps the position of each successor of ``ids[j]`` to
-    its one-step weight; the weights and ``law``'s are Fractions.
+    ``law`` is held as `NoiseSpec.step` holds laws, over closure ids, or with
+    ``act`` over keys that a tail map g moves to ``act(key, g.image)``.
+    Breadth first: the support of ``law``, then each level's new successors,
+    each level sorted (ids by image).  ``out[j]`` maps the position of each
+    successor of ``keys[j]`` to its one-step weight; weights are Fractions.
     """
     nums, den = law
-    element = noise.closure.element
-    d = noise.atom_numerators[-1][1]
-    ids = sorted(nums, key=element)
-    index = {p: j for j, p in enumerate(ids)}
-    rows: list[dict[int, int]] = []  # the rows of ids[:len(rows)]
-    while len(rows) < len(ids):
-        level = noise.tail_rows(ids[len(rows):])
+    stage, d = noise.atom_numerators[-1]
+    order, rows_of = noise.closure.element, noise.tail_rows
+    if act is not None:
+        order, maps = None, [(noise.closure.element(f).image, n) for f, n in stage.items()]
+
+        def rows_of(keys):
+            return [_summed((act(key, g), n) for g, n in maps) for key in keys]
+
+    keys = sorted(nums, key=order)
+    index = {k: j for j, k in enumerate(keys)}
+    rows: list[dict] = []  # the rows of keys[:len(rows)]
+    while len(rows) < len(keys):
+        level = rows_of(keys[len(rows):])
         rows.extend(level)
-        for p in sorted({q for row in level for q in row if q not in index}, key=element):
-            index[p] = len(ids)
-            ids.append(p)
+        for q in sorted({q for row in level for q in row if q not in index}, key=order):
+            index[q] = len(keys)
+            keys.append(q)
     out = [{index[q]: Fraction(n, d) for q, n in row.items()} for row in rows]
-    return ids, out, [Fraction(nums.get(p, 0), den) for p in ids]
+    return keys, out, [Fraction(nums.get(k, 0), den) for k in keys]
 
 
 def absorption(
@@ -539,28 +534,70 @@ def _transposed_rows(
 
 
 def build_product_chain(noise: NoiseSpec) -> ProductChain:
-    """Chain of running products under the stationary tail.
+    """Chain of running products under the stationary tail, exact.
 
     States are the products reachable from the tail support under right
     multiplication by the tail support, in `tail_chain` order, so a closure
-    past CLOSURE_CAP raises CapacityError.
-    Transitions, absorption probabilities and per-class stationary laws are
-    exact rationals.
+    past CLOSURE_CAP raises CapacityError.  A recurrent class is the kernel's
+    products with one image I.  By Letac's principle g1 ... gt and gt ... g1
+    have one law (Diaconis & Freedman, *SIAM Review* 41, 1999), so the chance
+    of entering the class is the limit mass on I of the set chain
+    Y_t = g_t(Y_{t-1}) from all states.
     """
     ids, out, initial = tail_chain(noise, noise.atom_numerators[-1])
-    recurrent_sets, absorptions, transient, _ = absorption(out, initial)
+    sets, moves, start = tail_chain(
+        noise, ({tuple(range(noise.space.size)): 1}, 1),
+        lambda y, g: tuple(sorted({g[x] for x in y})),
+    )
+    limit = {}  # the Cesaro limit of the image chain, by set
+    for members, hit in zip(*absorption(moves, start)[:2]):
+        pi = stationary_on_class(members, moves)
+        limit.update((sets[v], hit * w) for v, w in zip(members, pi))
+    element = noise.closure.element
     classes = [
         RecurrentClass(
-            members, _class_period(members, out), hit,
+            members, _class_period(members, out),
+            limit[tuple(sorted(set(element(ids[members[0]]).image)))],
             tuple(zip(members, stationary_on_class(members, out))),
         )
-        for members, hit in zip(recurrent_sets, absorptions)
+        for members in closed_classes(out)
     ]
+    recurrent = {v for c in classes for v in c.member_ids}
     return ProductChain(
-        noise.space, tuple(map(noise.closure.element, ids)),
+        noise.space, tuple(map(element, ids)),
         tuple(tuple(sorted(row.items())) for row in out), tuple(initial),
-        tuple(classes), transient,
+        tuple(classes), tuple(v for v in range(len(out)) if v not in recurrent),
     )
+
+
+def _blocks(labels: Iterable) -> tuple[int, ...]:
+    """Each point's block by ``labels``, blocks numbered by first point."""
+    first: dict = {}
+    return tuple(first.setdefault(v, len(first)) for v in labels)
+
+
+def kernel_absorption(noise: NoiseSpec, law: tuple) -> tuple[Fraction, Fraction]:
+    """(expected tail steps to absorption, P(none)) of the product walk from
+    ``law``, held as `NoiseSpec.step` holds laws.
+
+    Both are `absorption` on kernel partitions: p -> p g moves ker p to
+    g^-1(ker p), a lumped chain (Kemeny & Snell, *Finite Markov Chains*,
+    §6.3), and p g = p exactly when g keeps each point in its block of ker p.
+    """
+    element = noise.closure.element
+    start = _summed((_blocks(element(p).image), n) for p, n in law[0].items())
+    kernels, out, initial = tail_chain(
+        noise, (start, law[1]), lambda k, g: _blocks(k[y] for y in g)
+    )
+    classes, hits, _, steps = absorption(out, initial)
+    maps = [g.image for g in noise.tail.support]
+    # an absorbed partition is a closed singleton that every tail map keeps
+    # pointwise: tail maps that permute its blocks never fix a product
+    never = (
+        hit for (first, *_), hit in zip(classes, hits)
+        if any(tuple(kernels[first][y] for y in g) != kernels[first] for g in maps)
+    )
+    return steps, sum(never, Fraction(0))
 
 
 def stationary_on_class(

@@ -13,22 +13,14 @@ any other factor is read from a 256-entry guide on the draw's top byte
 breakpoint splits that byte's bucket.
 
 The kernel runs the trials in blocks of 256, trial j's state in bits 128j
-to 128j + 63 of one int S.  With rep the int with a 1 at the bottom of every
-lane and M = (2^64 - 1) * rep, one draw for every lane is S = (S + GAMMA *
-rep) & M and the two xorshift-multiply rounds, with & M before each
-multiply.  That is exact: every lane holds a value below 2^64, so a 64 x
-64-bit product fits in its 128 bits and carries into no other lane, and the
-bits that a right shift moves in from the next lane land at 64 and above,
-where the mask clears them before they reach a multiply.  Byte 16j + 7 of
-the mixed int, in little-endian order, is the top byte of lane j's mix,
-which reads the guide.  The block's product ids are byte lanes, one byte
-per trial, when every (product, guide code) pair fits in a byte; then
-`bytes.translate` steps every lane at once.  Past that byte limit each lane
-steps on its own (see `_tables`).  A maximal run of k point-mass factors
-that cannot absorb is one S + (k * GAMMA mod 2^64) * rep and one jump map,
-the k-th power of p -> right[p][atom] by repeated squaring.  A lane whose
-product is absorbed records it and retires; S drops the retired lanes once
-at most half of them are live.
+to 128j + 63 of one int S (see `_pack` for rep and M), and one draw for
+every lane is S = (S + GAMMA * rep) & M and the two xorshift-multiply
+rounds, with & M before each multiply.  That is exact: every lane holds a
+value below 2^64, so a 64 x 64-bit product fits in its 128 bits and carries
+into no other lane, and the bits that a right shift moves in from the next
+lane land at 64 and above, where the mask clears them before they reach a
+multiply.  Byte 16j + 7 of the mixed int, in little-endian order, is the
+top byte of lane j's mix, which reads the guide.
 
 Per trial the draw order is fixed: the noise for k = 0, -1, ..., -depth+1
 first, then any entry-state draws.  Ids are `NoiseSpec.closure` ids.  The
@@ -39,8 +31,8 @@ draw), so every result is the one all draws give; `simulate_paths` draws
 every factor, as it reports them.  `stopping_time_stats` runs each trial
 once for both the absorption times and the product law (its ``products``,
 equal to `estimate_law`'s).  Estimators report binomial standard errors
-against exact references from the measure layer (`measures.tail_chain` and
-`measures.absorption` for the absorption times), so tests can hold
+against exact references from the measure layer (for the absorption times,
+`measures.kernel_absorption` on kernel partitions), so tests can hold
 simulation against closed form at three sigma.
 """
 
@@ -56,14 +48,7 @@ from typing import Iterator, NamedTuple, Optional, Union
 
 from .algebra import TransformationElement
 from .errors import CarrierMismatchError, InternalInconsistencyError
-from .measures import (
-    NoiseSpec,
-    ProbMeasure,
-    absorption,
-    act,
-    state_carrier,
-    tail_chain,
-)
+from .measures import NoiseSpec, ProbMeasure, act, kernel_absorption, state_carrier
 from .solver import SolutionLawFamily
 
 __all__ = [
@@ -281,8 +266,10 @@ def _trial_kernel(noise, stages, cfg):
     them; a mixed step translates the lanes' top bytes to codes, then the
     bytes of ids * codes + code through ``move``, no byte carrying into the
     next as each stays below 256.  Past the byte limit each lane steps on its
-    own, ``rows[p][guide[b]]``.  After a step whose stage can absorb, the
-    absorbed lanes record their products and retire to the "done" row.
+    own, ``rows[p][guide[b]]``.  A run of k point-mass factors that cannot
+    absorb is one k * GAMMA stream step and one `_jump` map.  After a step
+    whose stage can absorb, the absorbed lanes record their products and
+    retire to the "done" row; S drops them once at most half are live.
     """
     byte, rows, tables = _tables(noise, stages)
     start, done, marker = len(rows) - 2, len(rows) - 1, rows[0][-1]
@@ -556,22 +543,16 @@ def _exact_absorption(noise, stages):
 
     E[T] = sum over t >= 0 of P(T > t).  Over the prefix, `product_laws`
     steps the law of the product in integer numerators over one denominator,
-    and each P(T > t) is one Fraction; from the first all-tail time on, the
-    rest is the expected absorption time of the homogeneous product chain,
-    which `measures.absorption` solves on the `tail_chain` from the law after
-    the prefix: those products are closed under successors, so its classes
-    and solutions are those of the whole closure, restricted.  Under the tail,
-    singleton closed classes are the absorbing products and larger ones are
-    never left, so P(T = infinity) is the chance of entering a larger one.
+    and each P(T > t) is one Fraction.  From the first all-tail time on,
+    `measures.kernel_absorption` gives the rest and P(T = infinity), on the
+    kernel partitions of the products from the law after the prefix.
     """
     # the laws after t = 1..steps factors; head is P(T > t) for t < steps
     *earlier, law = noise.product_laws(max(noise.prefix_length, 1))
     head = 0
     for stage, (seen, d) in zip(stages, earlier):
         head += Fraction(sum(n for i, n in seen.items() if i not in stage.absorbing), d)
-    _, out, initial = tail_chain(noise, law)
-    classes, hits, _, steps = absorption(out, initial)
-    infinite = sum(h for c, h in zip(classes, hits) if len(c) > 1)
+    steps, infinite = kernel_absorption(noise, law)
     if infinite != 0:
         return None, infinite
     return 1 + head + steps, Fraction(0)

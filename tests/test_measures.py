@@ -46,6 +46,7 @@ from helpers import (
     two_map_noise,
 )
 from oracles import dense_absorption, dense_expected_steps
+from record_pins import PROBLEMS, run
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -398,3 +399,15 @@ def test_absorption_solves_transient_blocks_in_order_like_the_dense_reference(mo
     rows = [[row.get(j, Fraction(0)) for j in range(len(ids))] for row in out]
     assert hits == dense_absorption(rows, initial, list(transient), list(map(list, classes)))
     assert steps == dense_expected_steps(rows, initial, list(transient))
+
+
+@pytest.mark.parametrize(("name", "unknowns"), [("T5", 31), ("W3952", 127)])
+def test_analyze_and_simulate_solve_no_system_past_the_image_chain(name, unknowns, tmp_path, monkeypatch):
+    # at most 2^n - 1 image sets on n states; the product chains have 3,120
+    # and 3,945 transient products, whose largest blocks have 240 and 186
+    path = tmp_path / f"{name}.tsl"
+    path.write_text(PROBLEMS[name], encoding="utf-8")
+    solves = count_calls(monkeypatch, tsl.measures, "solve_linear")
+    assert run(["analyze", str(path)])[0] == 0
+    assert run(["simulate", str(path), "--seed", "1", "--trials", "200"])[0] == 0
+    assert solves and max(len(system) for system, _ in solves) <= unknowns

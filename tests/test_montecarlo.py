@@ -337,16 +337,20 @@ def test_stopping_time_stats_builds_one_closure(monkeypatch):
 
 def test_exact_absorption_solves_over_the_reachable_products(monkeypatch):
     # space 3, tail uniform on a = 2 1 3 and b = 1 3 2, c = 1 1 2 at 0 and
-    # b at -2: the closure has 27 products, 3 are reached after the prefix
+    # b at -2: the closure has 27 products, and the solve runs on the kernel
+    # partitions of the products reached after the prefix, at most Bell(3) = 5;
+    # no product's tail row is built
     a, b, c = (1, 0, 2), (0, 2, 1), (0, 0, 1)
     tail = element_measure(THREE, {a: HALF, b: HALF})
     prefix = (element_measure(THREE, {c: 1}), tail, element_measure(THREE, {b: 1}))
     noise = NoiseSpec(tail, prefix)
-    calls = count_calls(monkeypatch, NoiseSpec, "tail_rows")
+    rows = count_calls(monkeypatch, NoiseSpec, "tail_rows")
+    solves = count_calls(monkeypatch, tsl.measures, "absorption")
     stats = stopping_time_stats(noise, SimConfig(depth=8, trials=10, seed=1))
     assert (stats.exact_mean, stats.infinite_mass) == (None, 1)
     assert noise.closure.size == 27
-    assert sum(len(products) for _, products in calls) == 3
+    assert rows == []
+    assert len(solves) == 1 and 0 < len(solves[0][0]) <= 5
 
 
 def test_one_noise_spec_builds_its_closure_once(monkeypatch):
