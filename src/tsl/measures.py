@@ -577,12 +577,13 @@ def _blocks(labels: Iterable) -> tuple[int, ...]:
 
 
 def kernel_absorption(noise: NoiseSpec, law: tuple) -> tuple[Fraction, Fraction]:
-    """(expected tail steps to absorption, P(none)) of the product walk from
-    ``law``, held as `NoiseSpec.step` holds laws.
+    """The tail walk of products from ``law``: the expected number of times,
+    ``law``'s included, before it is absorbed, and the chance it never is.
 
-    Both are `absorption` on kernel partitions: p -> p g moves ker p to
-    g^-1(ker p), a lumped chain (Kemeny & Snell, *Finite Markov Chains*,
-    §6.3), and p g = p exactly when g keeps each point in its block of ker p.
+    ``law`` is held as `NoiseSpec.step` holds laws.  Both are `absorption` on
+    kernel partitions: p -> p g moves ker p to g^-1(ker p), a lumped chain
+    (Kemeny & Snell, *Finite Markov Chains*, §6.3), and p g = p exactly when
+    g keeps each point in its block of ker p.
     """
     element = noise.closure.element
     start = _summed((_blocks(element(p).image), n) for p, n in law[0].items())
