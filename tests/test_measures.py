@@ -402,7 +402,9 @@ def test_absorption_solves_transient_blocks_in_order_like_the_dense_reference(mo
 
 
 @pytest.mark.parametrize(("name", "unknowns"), [("T5", 31), ("W3952", 127)])
-def test_analyze_and_simulate_solve_no_system_past_the_image_chain(name, unknowns, tmp_path, monkeypatch):
+def test_analyze_and_simulate_solve_no_system_past_the_image_chain(
+    name, unknowns, tmp_path, monkeypatch
+):
     # at most 2^n - 1 image sets on n states; the product chains have 3,120
     # and 3,945 transient products, whose largest blocks have 240 and 186
     path = tmp_path / f"{name}.tsl"
