@@ -28,7 +28,8 @@ _T = "gen t = 2 1 3 4{}\ngen c = 2 3 4{} 1\ngen m = 1 1 3 4{}\nnoise iid t:1/3 c
 # T4 and T5 are the full transformation monoids from a transposition, the
 # n-cycle and a merge; W3952 is a random 7-state problem whose closure has
 # 3,952 elements; A7 is the alternating group on 7 states; T5+10 is T5 behind
-# ten prefix stages.
+# ten prefix stages, and A7+20 is A7 behind twenty.
+_A7 = "space 7\ngen a = 2 3 1 4 5 6 7\ngen b = 1 2 4 5 6 7 3\nnoise iid a:1/2 b:1/2\n"
 PROBLEMS = {
     "T4": "space 4\n" + _T.format("", "", ""),
     "T5": "space 5\n" + _T.format(" 5", " 5", " 5"),
@@ -38,7 +39,8 @@ PROBLEMS = {
     ),
     "T5+10": "space 5\n" + _T.format(" 5", " 5", " 5")
     + "".join(f"noise at {-k} t:1/2 c:1/2\n" for k in range(10)),
-    "A7": "space 7\ngen a = 2 3 1 4 5 6 7\ngen b = 1 2 4 5 6 7 3\nnoise iid a:1/2 b:1/2\n",
+    "A7": _A7,
+    "A7+20": _A7 + "".join(f"noise at {-k} a:1/3 b:2/3\n" for k in range(20)),
 }
 
 ANALYZE = (("analyze",), ("analyze", "--json"))
@@ -47,7 +49,7 @@ SIMULATE = ("simulate", "--seed", "1", "--trials", "200")
 COMMANDS = [
     (name, command[0], command[1:])
     for name in PROBLEMS
-    for command in ANALYZE + ((SIMULATE,) if name != "A7" else ())
+    for command in ANALYZE + ((SIMULATE,) if not name.startswith("A7") else ())
 ]
 
 
