@@ -28,6 +28,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Optional, Sequence
 
 from .algebra import (
@@ -687,7 +688,9 @@ def _nonnegative(text: str) -> int:
     return value
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(
         prog="tsl",
         description="analyze and simulate backward products of random maps",
