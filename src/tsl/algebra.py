@@ -158,6 +158,35 @@ class FiniteSemigroup:
     def _products(self) -> dict[int, int]:
         return {}
 
+    def left_row(self, a: int) -> list[int]:
+        """The id of a * b at each id b, read along the right Cayley graph.
+
+        a * (x * g) = (a * x) * g, so a breadth-first tree of the right graph
+        from the generators spells every product with no composition.
+        """
+        right = self.right
+        row = [0] * self.size
+        for j, g in enumerate(self.generators):
+            row[g] = right[a][j]
+        for y, x, j in self._right_tree:
+            row[y] = right[row[x]][j]
+        return row
+
+    @cached_property
+    def _right_tree(self) -> tuple[tuple[int, int, int], ...]:
+        """(y, x, j) with y = x * generators[j], for every id y past the
+        generators, each x a generator or an earlier y."""
+        found = list(dict.fromkeys(self.generators))
+        known = set(found)
+        tree = []
+        for x in found:  # a growing queue
+            for j, y in enumerate(self.right[x]):
+                if y not in known:
+                    known.add(y)
+                    found.append(y)
+                    tree.append((y, x, j))
+        return tuple(tree)
+
     @cached_property
     def element_index(self) -> Mapping[TransformationElement, int]:
         return {e: i for i, e in enumerate(self.elements)}

@@ -9,7 +9,8 @@ The central object is the right-multiplication chain of running products
 P(1) = T(1), P(t+1) = P(t) T(t+1) with T(t) drawn i.i.d. from the stationary
 tail of the noise.  All limit statements about the backward products reduce
 to the recurrent structure of that chain; the finite noise prefix is applied
-afterwards as an exact pushforward.
+afterwards as exact left steps on closure ids, and the laws become
+`ProbMeasure`s only for the report.
 """
 
 from __future__ import annotations
@@ -91,20 +92,22 @@ class ProbMeasure:
     atoms: tuple[tuple[MeasureKey, Fraction], ...]
 
     def __post_init__(self):
-        total = Fraction(0)
         previous = None
         for key, weight in self.atoms:
             self._check_key(key)
             if not isinstance(weight, Fraction):
                 raise ValueError(f"weight of {key!r} is not a Fraction")
-            if weight <= 0:
+            if weight.numerator <= 0:
                 raise ValueError(f"weight of {key!r} must be positive, got {weight}")
-            if previous is not None and not self._key_sort(previous) < self._key_sort(key):
+            order = self._key_sort(key)
+            if previous is not None and not previous < order:
                 raise ValueError("atoms must be strictly sorted")
-            previous = key
-            total += weight
-        if total != 1:
-            raise ValueError(f"weights sum to {total}, expected 1")
+            previous = order
+        # summed exactly in integers, over the lcm of the denominators
+        den = lcm(*(w.denominator for _, w in self.atoms))
+        total = sum(w.numerator * (den // w.denominator) for _, w in self.atoms)
+        if total != den:
+            raise ValueError(f"weights sum to {Fraction(total, den)}, expected 1")
 
     def _check_key(self, key: MeasureKey) -> None:
         if self.carrier.kind == "element":
@@ -132,11 +135,20 @@ class ProbMeasure:
         cls, carrier: Carrier, weights: Mapping[MeasureKey, Fraction]
     ) -> "ProbMeasure":
         atoms = tuple(
-            (k, Fraction(w))
+            (k, w if isinstance(w, Fraction) else Fraction(w))
             for k, w in sorted(weights.items(), key=lambda kv: cls._key_sort(kv[0]))
             if w != 0
         )
         return cls(carrier, atoms)
+
+    @classmethod
+    def from_numerators(
+        cls, carrier: Carrier, numerators: Mapping[MeasureKey, int], denominator: int
+    ) -> "ProbMeasure":
+        """Weight n / denominator at each key, each distinct n reduced once."""
+        weight = {n: Fraction(n, denominator) for n in set(numerators.values())}
+        keys = sorted((k for k, n in numerators.items() if n), key=cls._key_sort)
+        return cls(carrier, tuple((k, weight[numerators[k]]) for k in keys))
 
     @classmethod
     def point(cls, carrier: Carrier, key: MeasureKey) -> "ProbMeasure":
@@ -318,8 +330,8 @@ class NoiseSpec:
     def is_iid(self) -> bool:
         return all(m == self.tail for m in self.prefix)
 
-    def window(self, cycle: Sequence[ProbMeasure], depth: int, apply) -> tuple:
-        """(k, law) for k = 0 .. -depth, law(k) = apply(noise at k, law(k-1)).
+    def window(self, cycle: Sequence, depth: int, apply) -> tuple:
+        """(k, law) for k = 0 .. -depth, law(k) = apply(k, law(k-1)).
 
         From the prefix down only the tail acts, so there the laws repeat the
         tail-consistent ``cycle`` as `SolutionLawFamily.law_at` indexes it.
@@ -327,8 +339,29 @@ class NoiseSpec:
         below = range(-depth, 1 - self.prefix_length)
         laws = [cycle[(-k - depth - 1) % len(cycle)] for k in below]
         for k in range(1 - self.prefix_length, 1):
-            laws.append(apply(self.measure_at(k), laws[-1]))
+            laws.append(apply(k, laws[-1]))
         return tuple(zip(range(0, -len(laws), -1), reversed(laws)))
+
+
+def _left_step(stage: tuple, law: tuple, rows: Mapping) -> tuple:
+    """The law after one more factor drawn from `stage`, on the left.
+
+    Both are held as `NoiseSpec.step` holds laws, and ``rows[a][b]`` is the
+    id of a b: the mirror of `step`, which multiplies on the right.
+    """
+    out = {}
+    for a, na in stage[0].items():
+        row = rows[a]
+        for b, nb in law[0].items():
+            c = row[b]
+            out[c] = out.get(c, 0) + na * nb
+    return out, stage[1] * law[1]
+
+
+def _same_law(a: tuple, b: tuple) -> bool:
+    """Whether two laws, held as `NoiseSpec.step` holds laws, are equal."""
+    (na, da), (nb, db) = a, b
+    return na.keys() == nb.keys() and all(n * db == nb[i] * da for i, n in na.items())
 
 
 @dataclass(frozen=True)
@@ -630,7 +663,8 @@ class LimitLawReport:
     (every reachable recurrent class aperiodic); ``cesaro`` always exists.
     ``nu_window``/``cesaro_window`` hold the element law at each represented
     k: the tail fixes its Cesaro limit, so below the prefix that is the base
-    law itself, and each prefix stage above pushes it once.  ``p2_subgroup``
+    law itself, and each prefix stage above pushes it once; a stage that fixes
+    the law below it leaves the same measure.  ``p2_subgroup``
     is the smallest non-trivial subgroup certifying convergence modulo a
     subgroup, see module docs for the three conditions.
     """
@@ -716,19 +750,50 @@ def limit_analysis(
     as_convergence = all(c.is_singleton for c in classes)
     converges_in_law = all(c.period == 1 for c in classes)
 
-    cesaro = mix(
-        [
-            ProbMeasure.from_weights(noise.carrier, {chain.states[i]: w for i, w in c.stationary})
-            for c in classes
-        ],
-        [c.absorption for c in classes],
-    )
+    # the Cesaro law, as `NoiseSpec.step` holds laws: each class's entry
+    # probability times its stationary law, over the lcm of their denominators
+    closure = noise.closure
+    index, element = closure.element_index, closure.element
+    terms = [
+        (index[chain.states[i]], c.absorption.numerator * w.numerator,
+         c.absorption.denominator * w.denominator)
+        for c in classes for i, w in c.stationary
+    ]
+    den = lcm(*(d for _, _, d in terms))
+    law = ({i: n * (den // d) for i, n, d in terms}, den)
+
+    def measure(law: tuple) -> ProbMeasure:
+        return ProbMeasure.from_numerators(
+            noise.carrier, {element(i): n for i, n in law[0].items()}, law[1]
+        )
 
     # the Cesaro limit of the tail's convolution powers is fixed by the tail,
-    # so every window law from the prefix down is the limit law itself
-    if convolve(noise.tail, cesaro) != cesaro:
+    # so every window law from the prefix down is the limit law itself; the
+    # check composes each product afresh, independent of the chain's rows
+    tail = noise.atom_numerators[-1]
+    composed = {a: {b: index[compose(element(a), element(b))] for b in law[0]} for a in tail[0]}
+    if not _same_law(_left_step(tail, law, composed), law):
         raise InternalInconsistencyError("the tail law does not fix its Cesaro limit")
-    cesaro_window = noise.window((cesaro,), max(window, noise.prefix_length), convolve)
+
+    # the left row of each prefix factor, once
+    prefix_ids = {a for numerators, _ in noise.atom_numerators[:-1] for a in numerators}
+    left = {a: closure.left_row(a) for a in prefix_ids}
+
+    def push(k: int, below: tuple) -> tuple:
+        above = _left_step(noise.atom_numerators[-k], below, left)
+        # a stage that fixes the law below it leaves it: every stage fixes
+        # the uniform law on a group
+        return below if _same_law(above, below) else above
+
+    # each prefix stage pushes the law above it once, on ids, and each
+    # distinct law becomes a measure once
+    laws = noise.window((law,), max(window, noise.prefix_length), push)
+    measures = {id(law): measure(law)}
+    for _, pushed in laws:
+        if id(pushed) not in measures:
+            measures[id(pushed)] = measure(pushed)
+    cesaro = measures[id(law)]
+    cesaro_window = tuple((k, measures[id(pushed)]) for k, pushed in laws)
     nu = cesaro if converges_in_law else None
     nu_window = cesaro_window if converges_in_law else None
 

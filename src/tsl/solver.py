@@ -155,7 +155,8 @@ def _family(
     for j in range(p):
         if act(noise.tail, cycle[(j + 1) % p]) != cycle[j]:
             raise ValueError(f"tail cycle inconsistent at offset {j}")
-    return SolutionLawFamily(noise.window(cycle, depth, act), cycle, origin)
+    pushed = noise.window(cycle, depth, lambda k, law: act(noise.measure_at(k), law))
+    return SolutionLawFamily(pushed, cycle, origin)
 
 
 def make_family(
@@ -204,11 +205,19 @@ def _dedupe(pairs: Sequence[tuple[int, SolutionLawFamily]]) -> tuple[tuple[int, 
 def _entry_point_families(
     noise: NoiseSpec, law: ProbMeasure, depth: int
 ) -> list[tuple[int, SolutionLawFamily]]:
-    """One family per entry state x: the tail-fixed `law` acting on x, pushed up to k = 0."""
+    """One family per entry state x: the tail-fixed `law` acting on x, pushed up to k = 0.
+
+    The law at x sums `law`'s numerators over one denominator by image[x].
+    """
+    den = lcm(*(w.denominator for _, w in law.atoms))
+    numerators = [(e.image, w.numerator * (den // w.denominator)) for e, w in law.atoms]
     car = state_carrier(noise.space)
     pairs = []
     for x in range(noise.space.size):
-        cycle = (act(law, ProbMeasure.point(car, x)),)
+        at: dict[int, int] = {}
+        for image, n in numerators:
+            at[image[x]] = at.get(image[x], 0) + n
+        cycle = (ProbMeasure.from_numerators(car, at, den),)
         pairs.append((x, _family(noise, cycle, depth, Origin("extremal", entry_state=x))))
     return pairs
 

@@ -194,6 +194,19 @@ def test_left_cancellative_agrees_with_table_scan(data):
 
 
 @given(generator_sets())
+def test_left_rows_are_the_composed_products(data):
+    # left_row reads each product along the right Cayley graph; the oracle
+    # composes every pair of images
+    space, gens = data
+    sg = generate_closure(space, gens)
+    index = {e.image: i for i, e in enumerate(sg.elements)}
+    for a in range(sg.size):
+        assert sg.left_row(a) == [
+            index[compose_images(sg.elements[a].image, b.image)] for b in sg.elements
+        ]
+
+
+@given(generator_sets())
 def test_cancellative_and_injective_iff_every_generator_is_a_permutation(data):
     # classify's strongness branch tests only the generators
     space, gens = data

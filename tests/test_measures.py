@@ -335,15 +335,19 @@ def test_limit_analysis_window_covers_long_prefixes(half_noise):
 
 
 def test_limit_analysis_convolves_only_through_the_prefix(monkeypatch, half_noise):
-    # one check that the tail fixes the limit law, then one push per prefix
-    # stage: the laws further down are the limit law, whatever the window
+    # one check that the tail fixes the limit law, then one left step on ids
+    # per prefix stage, from the bottom up: the laws further down are the
+    # limit law, whatever the window, and no element measure is convolved
     delta_a = ProbMeasure.point(ELEMENTS, GEN_A)
     noise = NoiseSpec(half_noise.tail, (delta_a, half_noise.tail, delta_a))
-    calls = count_calls(monkeypatch, tsl.measures, "convolve")
+    steps = count_calls(monkeypatch, tsl.measures, "_left_step")
+    measure_ops = [count_calls(monkeypatch, tsl.measures, name) for name in ("convolve", "mix")]
+    tail, *prefix = reversed(noise.atom_numerators)
     for window in (8, 64):
-        calls.clear()
+        steps.clear()
         report = limit_analysis(noise, three_ctx(), window=window)
-        assert len(calls) == noise.prefix_length + 1
+        assert [stage for stage, *_ in steps] == [tail, *prefix]
+        assert measure_ops == [[], []]
         assert len(report.nu_window) == window + 1
 
 

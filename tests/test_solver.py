@@ -360,6 +360,21 @@ def test_classify_state_steps_do_not_grow_with_the_window(monkeypatch, ctx, nois
     assert counts[0] == counts[1] > 0
 
 
+def test_entry_point_laws_sum_numerators_by_image_without_act(monkeypatch):
+    # each entry law is the limit law acting on a point, read off by image
+    # in integers; act runs only in the family's own checks.  Here the three
+    # entry laws differ: 1 at state 1, 1/3 at 1 and 2/3 at 3, 1 at state 3
+    noise = NoiseSpec(element_measure(THREE, {(0, 0, 2): THIRD, (0, 2, 2): Fraction(2, 3)}))
+    nu = limit_analysis(noise, three_ctx()).nu
+    calls = count_calls(monkeypatch, tsl.solver, "act")
+    monkeypatch.setattr(tsl.solver, "_family", lambda noise, cycle, depth, origin: cycle)
+    pairs = tsl.solver._entry_point_families(noise, nu, 8)
+    assert calls == []
+    assert pairs == [
+        (x, (act(nu, ProbMeasure.point(state_carrier(THREE), x)),)) for x in range(3)
+    ]
+
+
 def test_classify_subgroup_branch_outside_the_cancellativity_hypotheses():
     # the closure {a, b} is a group of order 2, hence left cancellative, but
     # its maps are not injective
