@@ -780,20 +780,15 @@ def limit_analysis(
     left = {a: closure.left_row(a) for a in prefix_ids}
 
     def push(k: int, below: tuple) -> tuple:
-        above = _left_step(noise.atom_numerators[-k], below, left)
-        # a stage that fixes the law below it leaves it: every stage fixes
-        # the uniform law on a group
-        return below if _same_law(above, below) else above
+        above = _left_step(noise.atom_numerators[-k], below[0], left)
+        # a stage that fixes the law below it leaves it and its measure:
+        # every stage fixes the uniform law on a group
+        return below if _same_law(above, below[0]) else (above, measure(above))
 
-    # each prefix stage pushes the law above it once, on ids, and each
-    # distinct law becomes a measure once
-    laws = noise.window((law,), max(window, noise.prefix_length), push)
-    measures = {id(law): measure(law)}
-    for _, pushed in laws:
-        if id(pushed) not in measures:
-            measures[id(pushed)] = measure(pushed)
-    cesaro = measures[id(law)]
-    cesaro_window = tuple((k, measures[id(pushed)]) for k, pushed in laws)
+    # each prefix stage pushes the law above it once, on ids
+    cesaro = measure(law)
+    pushed = noise.window(((law, cesaro),), max(window, noise.prefix_length), push)
+    cesaro_window = tuple((k, m) for k, (_, m) in pushed)
     nu = cesaro if converges_in_law else None
     nu_window = cesaro_window if converges_in_law else None
 

@@ -129,6 +129,21 @@ def test_noise_schedule_matches_prefix_listing(p, k):
     assert images(p.noise.measure_at(k)) == law
 
 
+@given(problems())
+def test_measures_from_numerators_equal_their_fraction_weights(p):
+    # the integer boundary reduces each distinct numerator once and checks
+    # the sum in integers; one numerator too many must still be refused
+    element = p.noise.closure.element
+    for numerators, den in p.noise.product_laws(p.depth):
+        weights = {element(i): Fraction(n, den) for i, n in numerators.items()}
+        by_key = {element(i): n for i, n in numerators.items()}
+        measure = ProbMeasure.from_numerators(p.noise.carrier, by_key, den)
+        assert measure == ProbMeasure.from_weights(p.noise.carrier, weights)
+    first = next(iter(by_key))
+    with pytest.raises(ValueError, match="weights sum to"):
+        ProbMeasure.from_numerators(p.noise.carrier, {**by_key, first: by_key[first] + 1}, den)
+
+
 @every_problem
 def test_chain_solves_match_the_dense_reference(p):
     chain = build_product_chain(p.noise)
