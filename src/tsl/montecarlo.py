@@ -637,8 +637,8 @@ def exact_product_law(noise: NoiseSpec, depth: int) -> ProbMeasure:
         raise ValueError("depth must be at least 1")
     law, den = deque(noise.product_laws(depth), maxlen=1).pop()
     element = noise.closure.element
-    return ProbMeasure.from_weights(
-        noise.carrier, {element(i): Fraction(n, den) for i, n in law.items()}
+    return ProbMeasure.from_numerators(
+        noise.carrier, {element(i): n for i, n in law.items()}, den
     )
 
 
