@@ -762,9 +762,9 @@ def limit_analysis(
     den = lcm(*(d for _, _, d in terms))
     law = ({i: n * (den // d) for i, n, d in terms}, den)
 
-    def measure(law: tuple) -> ProbMeasure:
+    def measure(held: tuple) -> ProbMeasure:
         return ProbMeasure.from_numerators(
-            noise.carrier, {element(i): n for i, n in law[0].items()}, law[1]
+            noise.carrier, {element(i): n for i, n in held[0].items()}, held[1]
         )
 
     # the Cesaro limit of the tail's convolution powers is fixed by the tail,
