@@ -208,17 +208,23 @@ def _entry_point_families(
     """One family per entry state x: the tail-fixed `law` acting on x, pushed up to k = 0.
 
     The law at x sums `law`'s numerators over one denominator by image[x].
+    Each distinct entry law builds its family once, at its smallest x; a
+    later x with the same law shares that family.
     """
     den = lcm(*(w.denominator for _, w in law.atoms))
     numerators = [(e.image, w.numerator * (den // w.denominator)) for e, w in law.atoms]
     car = state_carrier(noise.space)
     pairs = []
+    built: dict[frozenset, SolutionLawFamily] = {}
     for x in range(noise.space.size):
         at: dict[int, int] = {}
         for image, n in numerators:
             at[image[x]] = at.get(image[x], 0) + n
-        cycle = (ProbMeasure.from_numerators(car, at, den),)
-        pairs.append((x, _family(noise, cycle, depth, Origin("extremal", entry_state=x))))
+        key = frozenset(at.items())
+        if key not in built:
+            cycle = (ProbMeasure.from_numerators(car, at, den),)
+            built[key] = _family(noise, cycle, depth, Origin("extremal", entry_state=x))
+        pairs.append((x, built[key]))
     return pairs
 
 

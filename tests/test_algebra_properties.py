@@ -134,6 +134,24 @@ def test_closure_matches_the_all_pairs_reference(data):
     )
 
 
+@given(capped_generator_lists())
+def test_closure_past_256_states_matches_the_byte_closure(data):
+    # fixed points pad each map to 257 states, past the byte images: the
+    # tuple closure keeps the right graph, the generator ids, the images on
+    # the drawn states and the capacity outcome of the byte closure
+    space, gens, cap = data
+    n = space.size
+
+    def closure(space, gens, cap):
+        sg = generate_closure(space, gens, cap=cap)
+        return sg.right, sg.generators, tuple(e.image[:n] for e in sg.elements)
+
+    wide = [TransformationElement(g.image + tuple(range(n, 257))) for g in gens]
+    assert closure_outcome(closure, StateSpace.of_size(257), wide, cap) == (
+        closure_outcome(closure, space, gens, cap)
+    )
+
+
 @given(generator_sets(size=4))
 def test_core_orbit_equals_power_orbit_intersection(data):
     # the two descriptions of the eventual range coincide on every closure
