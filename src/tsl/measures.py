@@ -11,6 +11,13 @@ tail of the noise.  All limit statements about the backward products reduce
 to the recurrent structure of that chain; the finite noise prefix is applied
 afterwards as exact left steps on closure ids, and the laws become
 `ProbMeasure`s only for the report.
+
+The recurrent classes are the kernel of the tail semigroup, grouped by
+image.  That kernel is completely simple, so no linear system runs over
+products: each class's entry chance and law come from two small walks, one
+on the kernel's images and one on its kernel partitions
+(`build_product_chain`).  The partition walk also gives the absorption times
+(`kernel_absorption`).
 """
 
 from __future__ import annotations
@@ -566,34 +573,50 @@ def _transposed_rows(
     return at, rows
 
 
+def _blocks(labels: Iterable) -> tuple[int, ...]:
+    """Each point's block by ``labels``, blocks numbered by first point."""
+    first: dict = {}
+    return tuple(first.setdefault(v, len(first)) for v in labels)
+
+
+def _pull(kernel: tuple, g: tuple) -> tuple:
+    """The kernel partition g^-1(kernel): that of p g when ``kernel`` is p's."""
+    return _blocks(kernel[y] for y in g)
+
+
 def build_product_chain(noise: NoiseSpec) -> ProductChain:
     """Chain of running products under the stationary tail, exact.
 
     States are the products reachable from the tail support under right
     multiplication by the tail support, in `tail_chain` order, so a closure
     past CLOSURE_CAP raises CapacityError.  A recurrent class is the kernel's
-    products with one image I.  By Letac's principle g1 ... gt and gt ... g1
-    have one law (Diaconis & Freedman, *SIAM Review* 41, 1999), so the chance
-    of entering the class is the limit mass on I of the set chain
-    Y_t = g_t(Y_{t-1}) from all states.
+    products with one image I.  The kernel is completely simple, so each
+    class's law is a law mu on its images, one nu on its kernel partitions
+    and the uniform law on its group H (Hognas & Mukherjea, *Probability
+    Measures on Semigroups*, 2011).  By Letac's principle g1 ... gt and
+    gt ... g1 have one law (Diaconis & Freedman, *SIAM Review* 41, 1999), so
+    the chance of entering a class is mu(I), mu stationary for I -> g(I); a
+    member p weighs nu(ker p) / |H|, nu stationary for ker p -> g^-1(ker p).
+    Each walk is one closed class, over the kernel's images or partitions.
     """
     ids, out, initial = tail_chain(noise, noise.atom_numerators[-1])
-    sets, moves, start = tail_chain(
-        noise, ({tuple(range(noise.space.size)): 1}, 1),
-        lambda y, g: tuple(sorted({g[x] for x in y})),
-    )
-    limit = {}  # the Cesaro limit of the image chain, by set
-    for members, hit in zip(*absorption(moves, start)[:2]):
-        pi = stationary_on_class(members, moves)
-        limit.update((sets[v], hit * w) for v, w in zip(members, pi))
     element = noise.closure.element
+    closed = closed_classes(out)
+    images = [tuple(sorted(set(element(ids[c[0]]).image))) for c in closed]
+    kernels = {v: _blocks(element(ids[v]).image) for c in closed for v in c}
+
+    def law(start: Iterable, act) -> dict:
+        keys, moves, _ = tail_chain(noise, (dict.fromkeys(start, 1), 1), act)
+        return dict(zip(keys, stationary_on_class(range(len(keys)), moves)))
+
+    mu = law(images, lambda y, g: tuple(sorted({g[x] for x in y})))
+    nu = law(kernels.values(), _pull)
     classes = [
         RecurrentClass(
-            members, _class_period(members, out),
-            limit[tuple(sorted(set(element(ids[members[0]]).image)))],
-            tuple(zip(members, stationary_on_class(members, out))),
+            members, _class_period(members, out), mu[image],
+            tuple((v, nu[kernels[v]] / (len(members) // len(nu))) for v in members),
         )
-        for members in closed_classes(out)
+        for members, image in zip(closed, images)
     ]
     recurrent = {v for c in classes for v in c.member_ids}
     return ProductChain(
@@ -601,12 +624,6 @@ def build_product_chain(noise: NoiseSpec) -> ProductChain:
         tuple(tuple(sorted(row.items())) for row in out), tuple(initial),
         tuple(classes), tuple(v for v in range(len(out)) if v not in recurrent),
     )
-
-
-def _blocks(labels: Iterable) -> tuple[int, ...]:
-    """Each point's block by ``labels``, blocks numbered by first point."""
-    first: dict = {}
-    return tuple(first.setdefault(v, len(first)) for v in labels)
 
 
 def kernel_absorption(noise: NoiseSpec, law: tuple) -> tuple[Fraction, Fraction]:
@@ -620,9 +637,7 @@ def kernel_absorption(noise: NoiseSpec, law: tuple) -> tuple[Fraction, Fraction]
     """
     element = noise.closure.element
     start = _summed((_blocks(element(p).image), n) for p, n in law[0].items())
-    kernels, out, initial = tail_chain(
-        noise, (start, law[1]), lambda k, g: _blocks(k[y] for y in g)
-    )
+    kernels, out, initial = tail_chain(noise, (start, law[1]), _pull)
     classes, hits, _, steps = absorption(out, initial)
     maps = [g.image for g in noise.tail.support]
     # an absorbed partition is a closed singleton that every tail map keeps

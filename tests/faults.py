@@ -136,6 +136,31 @@ FAULTS = (
         "small = space.size <= 257",
         ("tests/test_algebra_properties.py::test_closure_past_256_states_matches_the_byte_closure",),
     ),
+    Fault(
+        "group-order-as-the-class-size",
+        "tsl/measures.py",
+        "nu[kernels[v]] / (len(members) // len(nu))",
+        "nu[kernels[v]] / len(members)",
+        ("tests/test_measures_properties.py::test_chain_solves_match_the_dense_reference",
+         "tests/test_measures.py::test_analyze_solves_no_system_past_the_kernel_images_and_partitions"),
+    ),
+    Fault(
+        "partition-law-at-the-first-kernel",
+        "tsl/measures.py",
+        "nu[kernels[v]] /",
+        "nu[kernels[members[0]]] /",
+        ("tests/test_measures_properties.py::test_chain_solves_match_the_dense_reference",
+         "tests/test_measures.py::test_analyze_solves_no_system_past_the_kernel_images_and_partitions"),
+    ),
+    Fault(
+        "image-law-at-the-first-class",
+        "tsl/measures.py",
+        "mu[image]",
+        "mu[images[0]]",
+        ("tests/test_measures_properties.py::test_chain_solves_match_the_dense_reference",
+         "tests/test_measures.py::test_limit_analysis_unbalanced_weights",
+         "tests/test_acceptance.py::test_criterion_3_limit_analysis"),
+    ),
 )
 
 

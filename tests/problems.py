@@ -180,6 +180,10 @@ CARRIED = [
     # a four-product class the prefix steers around (E[T] = 2); the prefix
     # atom (3 2 2) sorts first, so the tail's closure ids start at 1
     problem("space 3; gen a = 3 2 3; gen b = 3 3 2; gen c = 3 2 2; noise iid a:1/2 b:1/2; noise at 0 c:1"),
+    # two aperiodic classes entered with chances 3/4 and 1/4, each weighing
+    # its 2 kernel partitions 1/8 and 3/8 per product over a group of order
+    # 2: neither the image law nor the partition law is uniform
+    problem("space 4; gen c = 4 1 2 3; gen m = 1 1 3 3; noise iid c:1/3 m:2/3"),
     # a pure permutation walk, which never absorbs
     problem("space 3; gen s = 2 1 3; noise iid s:1"),
     # S3, the one subgroup no cycle part gives

@@ -417,3 +417,22 @@ def test_analyze_and_simulate_solve_no_system_past_the_image_chain(
     assert run(["analyze", str(path)])[0] == 0
     assert run(["simulate", str(path), "--seed", "1", "--trials", "200"])[0] == 0
     assert solves and max(len(system) for system, _ in solves) <= unknowns
+
+
+# one 600-product class with 1 image, 5 kernel partitions and a group of
+# order 120, whose law is not uniform
+K600 = "space 6\ngen a = 6 1 3 4 2 5\ngen b = 1 6 3 2 5 4\ngen m = 1 2 1 4 5 6\nnoise iid a:3/8 b:3/8 m:1/4\n"
+
+
+@pytest.mark.parametrize(("name", "limit"), [("K600", 5), ("T5", 5), ("W3952", 7)])
+def test_analyze_solves_no_system_past_the_kernel_images_and_partitions(
+    name, limit, tmp_path, monkeypatch
+):
+    # each class's entry chance and law come from the walks on the kernel's
+    # images and on its kernel partitions, never from a solve over products:
+    # the kernels of T5 and W3952 are their 5 and 7 constant maps
+    path = tmp_path / f"{name}.tsl"
+    path.write_text({"K600": K600, **PROBLEMS}[name], encoding="utf-8")
+    solves = count_calls(monkeypatch, tsl.measures, "solve_linear")
+    assert run(["analyze", str(path)])[0] == 0
+    assert solves and max(len(system) for system, _ in solves) <= limit

@@ -20,6 +20,7 @@ from tsl import (
     element_carrier,
     find_subgroups,
     is_right_invariant,
+    limit_analysis,
     mix,
     stationary_law,
     stopping_time_stats,
@@ -188,6 +189,15 @@ def test_recurrent_classes_are_the_kernel_grouped_by_image(p):
     chain = build_product_chain(p.noise)
     classes = {frozenset(chain.states[i].image for i in c.member_ids) for c in chain.recurrent_classes}
     assert classes == kernel_classes_reference(list(images(p.noise.tail)))
+
+
+@every_problem
+def test_products_converge_almost_surely_iff_each_kernel_product_is_alone_with_its_image(p):
+    # the running products settle exactly when every recurrent class is one
+    # product, and the classes are the kernel's products grouped by image
+    report = limit_analysis(p.noise, p.context)
+    kernel = kernel_classes_reference(list(images(p.noise.tail)))
+    assert report.as_convergence == all(len(c) == 1 for c in kernel)
 
 
 @every_problem
